@@ -6,7 +6,9 @@ Exit codes: 0 on success, 2 on configuration errors, 1 on runtime errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
+import pathlib
 import sys
 
 from .harness import ConfigError, config_digest, emit_csv, load_config, resolved_text, run_experiment
@@ -30,14 +32,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
+        cfg = load_config(pathlib.Path(args.config))
         if args.command == "simulate" and args.seed is not None:
-            text = resolved_text(cfg)
-            text = "".join(
-                f"master_seed = {args.seed}\n" if line.startswith("master_seed ") else line + "\n"
-                for line in text.splitlines()
-            )
-            cfg = load_config(text)
+            cfg = dataclasses.replace(cfg, master_seed=args.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

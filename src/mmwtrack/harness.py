@@ -11,10 +11,10 @@ trial index alone and therefore shared across variants and SNR points
 from __future__ import annotations
 
 import hashlib
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -29,6 +29,8 @@ from .evaluation import MetricConfig, dpsk_ser_trial, normalized_correlation, sp
 from .protocol import (
     MODE_FD,
     MODE_HY,
+    TRACKER_OOJA,
+    TRACKER_PASTD,
     EstimatedBeamformers,
     ProtocolConfig,
     TrackerSpec,
@@ -46,11 +48,13 @@ ORACLE = "oracle"
 
 @dataclass(frozen=True)
 class Variant:
-    """One algorithm/mode combination to evaluate, e.g. pastd-fd or oracle."""
+    """One variant to evaluate, e.g. pastd-hy, with the protocol it runs.
+
+    The protocol is None for the exact-SVD oracle baseline.
+    """
 
     name: str
-    algorithm: str   # pastd | ooja | oracle
-    mode: str        # fd | hy (fd for the oracle baseline)
+    protocol: ProtocolConfig | None
 
 
 @dataclass(frozen=True)
@@ -91,71 +95,64 @@ def _parse_int(s):
     return int(s, 0)
 
 
-def _parse_float(s):
-    return float(s)
+def _list_of(item):
+    """Parser for a comma-separated list; empty tokens are skipped."""
+    return lambda s: tuple(item(tok.strip()) for tok in s.split(",") if tok.strip())
 
 
-def _parse_str(s):
-    return s
-
-
-def _parse_float_list(s):
-    return tuple(float(tok) for tok in s.split(",") if tok.strip())
-
-
-def _parse_int_list(s):
-    return tuple(int(tok) for tok in s.split(",") if tok.strip())
-
-
-def _parse_str_list(s):
-    return tuple(tok.strip() for tok in s.split(",") if tok.strip())
-
-
-# key -> (parser, default). Defaults are the documented paper-style setup.
+# key -> (parser, default, getter). Defaults are the documented paper-style
+# setup; the getter reads the key's value back off a built ExperimentConfig.
 _SCHEMA = {
-    "n_bs": (_parse_int, 100),
-    "n_ms": (_parse_int, 30),
-    "element_spacing_wl": (_parse_float, 0.5),
-    "n_clusters": (_parse_int, 5),
-    "rays_per_cluster": (_parse_int_list, (10,)),
-    "carrier_freq_ghz": (_parse_float, 73.0),
-    "link_distance_m": (_parse_float, 50.0),
-    "los_probability": (_parse_float, 0.0),
-    "path_loss_intercept_db": (_parse_float, 72.0),
-    "path_loss_exponent": (_parse_float, 2.92),
-    "cluster_angle_spread_deg": (_parse_float, 5.0),
-    "noise_psd_dbm_hz": (_parse_float, -174.0),
-    "noise_figure_db": (_parse_float, 3.0),
-    "bandwidth_mhz": (_parse_float, 500.0),
-    "p_bs": (_parse_int, 30),
-    "p_ms": (_parse_int, 30),
-    "warmup": (_parse_int, 10),
-    "multiplexing_order": (_parse_int, 1),
-    "n_rf_bs": (_parse_int, 20),
-    "n_rf_ms": (_parse_int, 10),
-    "pastd_beta": (_parse_float, 0.95),
-    "ooja_delta": (_parse_float, 0.01),
-    "ooja_sign": (_parse_int, 1),
-    "psk_order": (_parse_int, 16),
-    "n_data_symbols": (_parse_int, 10_000),
-    "p_t_bs": (_parse_float, 1.0),
-    "snr_grid_db": (_parse_float_list, (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0)),
-    "n_trials": (_parse_int, 500),
-    "master_seed": (_parse_int, 1),
-    "variants": (_parse_str_list, ("pastd-fd", "ooja-fd", "pastd-hy", "ooja-hy", "oracle")),
+    "n_bs": (_parse_int, 100, lambda c: c.bs.n_elements),
+    "n_ms": (_parse_int, 30, lambda c: c.ms.n_elements),
+    "element_spacing_wl": (float, 0.5, lambda c: c.bs.spacing),
+    "n_clusters": (_parse_int, 5, lambda c: c.channel.n_clusters),
+    "rays_per_cluster": (_list_of(int), (10,), lambda c: tuple(c.channel.rays_per_cluster)),
+    "carrier_freq_ghz": (float, 73.0, lambda c: c.channel.carrier_freq_hz / 1e9),
+    "link_distance_m": (float, 50.0, lambda c: c.channel.link_distance_m),
+    "los_probability": (float, 0.0, lambda c: c.channel.los_probability),
+    "path_loss_intercept_db": (float, 72.0, lambda c: c.channel.path_loss_model.intercept_db),
+    "path_loss_exponent": (float, 2.92, lambda c: c.channel.path_loss_model.exponent),
+    "cluster_angle_spread_deg": (float, 5.0, lambda c: c.channel.cluster_angle_spread_deg),
+    "noise_psd_dbm_hz": (float, -174.0, lambda c: c.channel.noise_psd_dbm_hz),
+    "noise_figure_db": (float, 3.0, lambda c: c.channel.noise_figure_db),
+    "bandwidth_mhz": (float, 500.0, lambda c: c.channel.bandwidth_hz / 1e6),
+    "p_bs": (_parse_int, 30, lambda c: c.protocol.p_bs),
+    "p_ms": (_parse_int, 30, lambda c: c.protocol.p_ms),
+    "warmup": (_parse_int, 10, lambda c: c.protocol.warmup),
+    "multiplexing_order": (_parse_int, 1, lambda c: c.protocol.m),
+    "n_rf_bs": (_parse_int, 20, lambda c: c.protocol.n_rf_bs),
+    "n_rf_ms": (_parse_int, 10, lambda c: c.protocol.n_rf_ms),
+    "pastd_beta": (float, 0.95, lambda c: c.protocol.tracker.beta),
+    "ooja_delta": (float, 0.01, lambda c: c.protocol.tracker.delta),
+    "ooja_sign": (_parse_int, 1, lambda c: c.protocol.tracker.sign),
+    "psk_order": (_parse_int, 16, lambda c: c.metrics.psk_order),
+    "n_data_symbols": (_parse_int, 10_000, lambda c: c.metrics.n_data_symbols),
+    "p_t_bs": (float, 1.0, lambda c: c.metrics.p_t_bs),
+    "snr_grid_db": (
+        _list_of(float), (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0), lambda c: tuple(c.snr_grid_db)
+    ),
+    "n_trials": (_parse_int, 500, lambda c: c.n_trials),
+    "master_seed": (_parse_int, 1, lambda c: c.master_seed),
+    "variants": (
+        _list_of(str),
+        ("pastd-fd", "ooja-fd", "pastd-hy", "ooja-hy", "oracle"),
+        lambda c: tuple(v.name for v in c.variants),
+    ),
 }
 
 
-def _parse_variant(token: str) -> Variant:
+def _parse_variant(token: str, protocol: ProtocolConfig) -> Variant:
     if token == ORACLE:
-        return Variant(name=token, algorithm=ORACLE, mode=MODE_FD)
-    parts = token.split("-")
-    if len(parts) != 2 or parts[0] not in ("pastd", "ooja") or parts[1] not in (MODE_FD, MODE_HY):
+        return Variant(name=token, protocol=None)
+    algorithm, _, mode = token.partition("-")
+    if algorithm not in (TRACKER_PASTD, TRACKER_OOJA) or mode not in (MODE_FD, MODE_HY):
         raise ConfigError(
             f"variants: unknown variant {token!r} (expected pastd-fd, pastd-hy, "
             f"ooja-fd, ooja-hy or oracle)"
         )
-    return Variant(name=token, algorithm=parts[0], mode=parts[1])
+    tracker = replace(protocol.tracker, kind=algorithm)
+    return Variant(name=token, protocol=replace(protocol, mode=mode, tracker=tracker))
 
 
 def _parse_document(text: str) -> dict:
@@ -173,7 +170,7 @@ def _parse_document(text: str) -> dict:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        parser, _ = _SCHEMA[key]
+        parser, _, _ = _SCHEMA[key]
         try:
             values[key] = parser(val)
         except ValueError as exc:
@@ -191,14 +188,13 @@ def load_config(source) -> ExperimentConfig:
             with open(source, "r", encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
-            raise ConfigError(f"cannot read config file {source!r}: {exc}") from None
+            raise ConfigError(f"cannot read config file {os.fspath(source)!r}: {exc}") from None
     values = _parse_document(text)
-    resolved = {key: values.get(key, default) for key, (_, default) in _SCHEMA.items()}
+    resolved = {key: values.get(key, default) for key, (_, default, _) in _SCHEMA.items()}
 
     rays = resolved["rays_per_cluster"]
     if len(rays) == 1:
         rays = rays * resolved["n_clusters"]
-    resolved["rays_per_cluster"] = rays
 
     try:
         bs = ArrayConfig(resolved["n_bs"], resolved["element_spacing_wl"])
@@ -222,11 +218,9 @@ def load_config(source) -> ExperimentConfig:
             p_ms=resolved["p_ms"],
             warmup=resolved["warmup"],
             m=resolved["multiplexing_order"],
-            mode=MODE_FD,
             n_rf_bs=resolved["n_rf_bs"],
             n_rf_ms=resolved["n_rf_ms"],
             tracker=TrackerSpec(
-                kind="pastd",
                 beta=resolved["pastd_beta"],
                 delta=resolved["ooja_delta"],
                 sign=resolved["ooja_sign"],
@@ -237,10 +231,14 @@ def load_config(source) -> ExperimentConfig:
             n_data_symbols=resolved["n_data_symbols"],
             p_t_bs=resolved["p_t_bs"],
         )
-        variants = tuple(_parse_variant(tok) for tok in resolved["variants"])
-        if resolved["n_rf_bs"] > resolved["n_bs"] or resolved["n_rf_ms"] > resolved["n_ms"]:
-            raise ConfigError("n_rf_bs/n_rf_ms must not exceed the antenna counts")
-        cfg = ExperimentConfig(
+        if protocol.m > min(bs.n_elements, ms.n_elements):
+            raise ConfigError("multiplexing_order must not exceed min(n_bs, n_ms)")
+        if not (1 <= protocol.n_rf_bs <= bs.n_elements and 1 <= protocol.n_rf_ms <= ms.n_elements):
+            raise ConfigError("n_rf_bs/n_rf_ms must be between 1 and the antenna counts")
+        for key in ("snr_grid_db", "variants"):
+            if len(set(resolved[key])) != len(resolved[key]):
+                raise ConfigError(f"{key}: duplicate entries in {_fmt_value(resolved[key])!r}")
+        return ExperimentConfig(
             bs=bs,
             ms=ms,
             channel=channel,
@@ -249,13 +247,10 @@ def load_config(source) -> ExperimentConfig:
             snr_grid_db=resolved["snr_grid_db"],
             n_trials=resolved["n_trials"],
             master_seed=resolved["master_seed"],
-            variants=variants,
+            variants=tuple(_parse_variant(tok, protocol) for tok in resolved["variants"]),
         )
-    except ConfigError:
-        raise
-    except ValueError as exc:
+    except ValueError as exc:  # a ConfigError passes through with its message
         raise ConfigError(str(exc)) from None
-    return cfg
 
 
 def _fmt_value(value) -> str:
@@ -268,49 +263,11 @@ def _fmt_value(value) -> str:
 
 def resolved_text(cfg: ExperimentConfig) -> str:
     """Canonical key = value rendering of a config with defaults materialized."""
-    model = cfg.channel.path_loss_model
-    out = {
-        "n_bs": cfg.bs.n_elements,
-        "n_ms": cfg.ms.n_elements,
-        "element_spacing_wl": cfg.bs.spacing,
-        "n_clusters": cfg.channel.n_clusters,
-        "rays_per_cluster": tuple(cfg.channel.rays_per_cluster),
-        "carrier_freq_ghz": cfg.channel.carrier_freq_hz / 1e9,
-        "link_distance_m": cfg.channel.link_distance_m,
-        "los_probability": cfg.channel.los_probability,
-        "path_loss_intercept_db": model.intercept_db,
-        "path_loss_exponent": model.exponent,
-        "cluster_angle_spread_deg": cfg.channel.cluster_angle_spread_deg,
-        "noise_psd_dbm_hz": cfg.channel.noise_psd_dbm_hz,
-        "noise_figure_db": cfg.channel.noise_figure_db,
-        "bandwidth_mhz": cfg.channel.bandwidth_hz / 1e6,
-        "p_bs": cfg.protocol.p_bs,
-        "p_ms": cfg.protocol.p_ms,
-        "warmup": cfg.protocol.warmup,
-        "multiplexing_order": cfg.protocol.m,
-        "n_rf_bs": cfg.protocol.n_rf_bs,
-        "n_rf_ms": cfg.protocol.n_rf_ms,
-        "pastd_beta": cfg.protocol.tracker.beta,
-        "ooja_delta": cfg.protocol.tracker.delta,
-        "ooja_sign": cfg.protocol.tracker.sign,
-        "psk_order": cfg.metrics.psk_order,
-        "n_data_symbols": cfg.metrics.n_data_symbols,
-        "p_t_bs": cfg.metrics.p_t_bs,
-        "snr_grid_db": tuple(cfg.snr_grid_db),
-        "n_trials": cfg.n_trials,
-        "master_seed": cfg.master_seed,
-        "variants": tuple(v.name for v in cfg.variants),
-    }
-    return "".join(f"{key} = {_fmt_value(out[key])}\n" for key in _SCHEMA)
+    return "".join(f"{key} = {_fmt_value(get(cfg))}\n" for key, (_, _, get) in _SCHEMA.items())
 
 
 def config_digest(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(resolved_text(cfg).encode("utf-8")).hexdigest()[:16]
-
-
-def _variant_protocol(cfg: ExperimentConfig, variant: Variant) -> ProtocolConfig:
-    tracker = replace(cfg.protocol.tracker, kind=variant.algorithm)
-    return replace(cfg.protocol, mode=variant.mode, tracker=tracker)
 
 
 def _trial_records(cfg: ExperimentConfig, trial_idx: int, digest: str) -> list:
@@ -323,9 +280,7 @@ def _trial_records(cfg: ExperimentConfig, trial_idx: int, digest: str) -> list:
     m = cfg.protocol.m
     u1 = chan.u[:, 0]
     v1 = chan.v[:, 0]
-    front = None
-    if any(v.mode == MODE_HY for v in cfg.variants):
-        front = make_front_end(cfg.bs, cfg.ms, cfg.protocol)
+    front = make_front_end(cfg.bs, cfg.ms, cfg.protocol)
 
     records = []
     for vi, variant in enumerate(cfg.variants):
@@ -335,10 +290,10 @@ def _trial_records(cfg: ExperimentConfig, trial_idx: int, digest: str) -> list:
             rng = np.random.default_rng(seq)
             snr_lin = 10.0 ** (snr_db / 10.0)
             rho = snr_lin * cfg.ms.n_elements * sigma2 / h2 if h2 > 0 else 1.0
-            if variant.algorithm == ORACLE:
+            if variant.protocol is None:
                 beams = EstimatedBeamformers(d_ms=chan.u[:, :m], d_bs=chan.v[:, :m])
             else:
-                pcfg = replace(_variant_protocol(cfg, variant), tx_power_scale=rho)
+                pcfg = replace(variant.protocol, tx_power_scale=rho)
                 beams = run_protocol(chan, pcfg, front, sigma2, rng)
             p_t = rho * cfg.metrics.p_t_bs
             se = spectral_efficiency(chan.h, beams.d_ms, beams.d_bs, p_t, sigma2)
@@ -362,21 +317,18 @@ def _trial_records(cfg: ExperimentConfig, trial_idx: int, digest: str) -> list:
     return records
 
 
-def _trial_worker(args):
-    cfg, trial_idx, digest = args
-    return _trial_records(cfg, trial_idx, digest)
-
-
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list:
     """All trial records for a config, ordered by (variant, SNR, trial)."""
     digest = config_digest(cfg)
-    tasks = [(cfg, t, digest) for t in range(cfg.n_trials)]
+    trials = range(cfg.n_trials)
     if workers > 1:
         chunk = max(1, cfg.n_trials // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_trial = list(pool.map(_trial_worker, tasks, chunksize=chunk))
+            per_trial = list(
+                pool.map(_trial_records, repeat(cfg), trials, repeat(digest), chunksize=chunk)
+            )
     else:
-        per_trial = [_trial_worker(t) for t in tasks]
+        per_trial = [_trial_records(cfg, t, digest) for t in trials]
     records = [rec for trial in per_trial for rec in trial]
     vidx = {v.name: i for i, v in enumerate(cfg.variants)}
     sidx = {s: i for i, s in enumerate(cfg.snr_grid_db)}

@@ -124,19 +124,13 @@ def compose_hybrid(front: HybridFrontEnd, d_bb_ms, d_bb_bs) -> EstimatedBeamform
 
 
 def _lift_and_normalize(d_rf, d_bb):
+    """Unit-column d_rf @ d_bb and the equally rescaled d_bb; d_rf None is fully digital."""
     d_bb = np.asarray(d_bb, dtype=complex)
-    full = d_rf @ d_bb
+    full = d_bb if d_rf is None else d_rf @ d_bb
     norms = np.linalg.norm(full, axis=0)
     if np.any(norms == 0.0):
         raise ValueError("zero beamformer column cannot be normalized")
     return full / norms, d_bb / norms
-
-
-def _normalize_columns(w):
-    norms = np.linalg.norm(w, axis=0)
-    if np.any(norms == 0.0):
-        raise ValueError("zero beamformer column cannot be normalized")
-    return w / norms
 
 
 def _make_tracker(spec: TrackerSpec, w0, lam0):
@@ -223,16 +217,12 @@ def run_protocol(
     sigma2_n: float,
     rng: np.random.Generator,
 ) -> EstimatedBeamformers:
-    """Run both phases and return the composed, unit-column beamformers."""
-    if cfg.mode == MODE_FD:
-        d_ms = _normalize_columns(run_phase_a(chan, cfg, None, sigma2_n, rng))
-        d_bs = _normalize_columns(run_phase_b(chan, d_ms, cfg, None, sigma2_n, rng))
-        return EstimatedBeamformers(d_ms=d_ms, d_bs=d_bs)
-    if front is None:
-        front = make_front_end(
-            ArrayConfig(chan.h.shape[1]), ArrayConfig(chan.h.shape[0]), cfg
-        )
+    """Run both phases and return unit-column beamformers; hybrid mode needs a front end."""
     d_bb_ms = run_phase_a(chan, cfg, front, sigma2_n, rng)
+    if cfg.mode == MODE_FD:
+        d_ms, _ = _lift_and_normalize(None, d_bb_ms)
+        d_bs, _ = _lift_and_normalize(None, run_phase_b(chan, d_ms, cfg, front, sigma2_n, rng))
+        return EstimatedBeamformers(d_ms=d_ms, d_bs=d_bs)
     d_ms, _ = _lift_and_normalize(front.d_ms_rf, d_bb_ms)
     d_bb_bs = run_phase_b(chan, d_ms, cfg, front, sigma2_n, rng)
     return compose_hybrid(front, d_bb_ms, d_bb_bs)

@@ -97,19 +97,45 @@ class OojaTracker:
     sign=+1 tracks the principal subspace, sign=-1 the minor subspace; the
     orthonormalizing correction is the same for both because the residual is
     orthogonal to the current basis.
+
+    w is a view of the first m columns of a Fortran-ordered work buffer whose
+    last column holds the current sample, so that one matrix-vector product
+    gives both W^H x and |x|^2, and another gives the update direction. A
+    step costs a fixed handful of numpy calls into preallocated arrays. Update
+    w in place; rebinding it detaches it from the buffer.
     """
 
     w: np.ndarray
     delta: float = 0.01
     sign: int = 1
     step_count: int = 0
+    _work: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.w = np.array(self.w, dtype=complex)
+        w = np.asarray(self.w, dtype=complex)
         if self.delta <= 0:
             raise ValueError(f"delta must be > 0, got {self.delta}")
         if self.sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {self.sign}")
+        n, m = w.shape
+        buf = np.zeros((n, m + 1), dtype=complex, order="F")
+        buf[:, :m] = w
+        self.w = buf[:, :m]
+        g = np.empty(m + 1, dtype=complex)  # [conj(v); |x|^2], v = W^H x
+        u = np.empty(m + 1, dtype=complex)  # update direction's coefficients on buf
+        self._work = (
+            buf,
+            buf[:, m],  # sample slot
+            buf.T[:m],  # W^T, C-contiguous, so the rank-1 update runs along rows
+            np.empty(n, dtype=complex),  # conj(x)
+            g,
+            u,
+            g[:m],
+            u[:m],
+            g[:m, None],
+            np.empty(n, dtype=complex),  # update direction
+            np.empty((m, n), dtype=complex),  # rank-1 update of W^T
+        )
 
     @property
     def dim(self) -> int:
@@ -117,21 +143,30 @@ class OojaTracker:
 
     def step(self, r) -> "OojaTracker":
         x = np.asarray(r, dtype=complex)
-        if x.shape != (self.dim,):
-            raise ValueError(f"sample has shape {x.shape}, expected ({self.dim},)")
-        v = self.w.conj().T @ x
-        nv2 = float(np.real(np.vdot(v, v)))
+        buf, slot, wt, xc, g, u, vc, v, vc_col, a, outer = self._work
+        m, n = wt.shape
+        if x.shape != (n,):
+            raise ValueError(f"sample has shape {x.shape}, expected ({n},)")
+        slot[...] = x
+        np.conjugate(x, xc)
+        xc.dot(buf, g)
+        np.conjugate(g, u)
+        nv2 = float(vc.dot(v).real)
         if nv2 < PROJ_NORM_FLOOR:
             # update degenerates to the identity map as v -> 0
             self.step_count += 1
             return self
-        z = self.w @ v
-        p = x - z
-        np2 = float(np.real(np.vdot(p, p)))
+        # |p|^2 for p = x - W v, by Pythagoras since W has orthonormal columns
+        np2 = max(g.item(m).real - nv2, 0.0)
         phi = 1.0 / math.sqrt(1.0 + self.delta**2 * np2 * nv2)
+        c = self.sign * self.delta * phi
         tau = (phi - 1.0) / nv2
-        # W (I + tau v v^H) + sign * delta * phi * p v^H, as one rank-1 update
-        self.w += np.outer(tau * z + self.sign * self.delta * phi * p, v.conj())
+        # W (I + tau v v^H) + c p v^H = W + ((tau - c) W v + c x) v^H
+        u *= complex(tau - c)
+        u[m] = c
+        buf.dot(u, a)
+        np.multiply(vc_col, a, out=outer)
+        wt += outer
         self.step_count += 1
         return self
 

@@ -78,6 +78,8 @@ class TestPhaseA:
     def test_hybrid_requires_front_end(self):
         with pytest.raises(ValueError):
             run_phase_a(rank1_channel(), small_cfg(mode="hy"), None, 0.0, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="HybridFrontEnd"):
+            run_protocol(rank1_channel(), small_cfg(mode="hy"), None, 0.0, np.random.default_rng(0))
 
 
 class TestPhaseB:
