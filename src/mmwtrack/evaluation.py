@@ -69,29 +69,27 @@ def dpsk_ser_trial(
 
     Single-stream only. The base station sends a reference symbol followed by
     differentially encoded data on its estimated transmit beam; the mobile
-    projects onto its combiner and detects each phase increment from the
-    product of consecutive outputs, with no absolute phase reference.
+    combines with d_ms and detects each phase increment by rounding the angle of
+    the product of consecutive outputs. Per symbol, the combined noise
+    d_ms^H n / ||d_ms|| is one CN(0, sigma2) draw and the gain |d_ms^H H d_bs| / ||d_ms||.
     """
     if beams.d_ms.shape[1] != 1 or beams.d_bs.shape[1] != 1:
         raise ValueError("differential SER supports multiplexing order 1 only")
     k_mod = cfg.psk_order
     n_sym = cfg.n_data_symbols
     d_ms = beams.d_ms[:, 0]
-    d_bs = beams.d_bs[:, 0]
-    n_ms = chan.h.shape[0]
+    norm = np.linalg.norm(d_ms)
+    if norm == 0.0:
+        raise ValueError("differential SER undefined for a zero combiner")
+    gain = abs(np.vdot(d_ms, chan.h @ beams.d_bs[:, 0])) / norm
 
     data = rng.integers(0, k_mod, size=n_sym)
     # b(0) = 1, b(n) = b(n-1) * exp(j 2 pi k_n / K)
     phases = np.concatenate(([0], np.cumsum(data))) % k_mod
     b = np.exp(2j * math.pi * phases / k_mod)
+    noise = rng.standard_normal(n_sym + 1) + 1j * rng.standard_normal(n_sym + 1)
+    y = math.sqrt(cfg.p_t_bs) * gain * b + math.sqrt(sigma2_n / 2.0) * noise
 
-    gain = complex(np.vdot(d_ms, chan.h @ d_bs))
-    noise = math.sqrt(sigma2_n / 2.0) * (
-        rng.standard_normal((n_sym + 1, n_ms)) + 1j * rng.standard_normal((n_sym + 1, n_ms))
-    )
-    y = math.sqrt(cfg.p_t_bs) * gain * b + noise @ np.conj(d_ms)
-
-    decision = y[1:] * np.conj(y[:-1])
-    alphabet = np.exp(-2j * math.pi * np.arange(k_mod) / k_mod)
-    detected = np.argmax(np.real(decision[:, None] * alphabet[None, :]), axis=1)
+    increments = np.angle(y[1:] * np.conj(y[:-1])) * (k_mod / (2.0 * math.pi))
+    detected = np.round(increments).astype(int) % k_mod
     return float(np.mean(detected != data))

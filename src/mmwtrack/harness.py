@@ -179,11 +179,9 @@ def _parse_document(text: str) -> dict:
 
 
 def load_config(source) -> ExperimentConfig:
-    """Build a fully validated ExperimentConfig from a file path or raw text."""
+    """Build a fully validated ExperimentConfig from an os.PathLike path or from str text."""
     text = source
-    if isinstance(source, os.PathLike) or (
-        isinstance(source, str) and source != "" and "=" not in source and "\n" not in source
-    ):
+    if isinstance(source, os.PathLike):
         try:
             with open(source, "r", encoding="utf-8") as fh:
                 text = fh.read()
@@ -287,33 +285,39 @@ def _trial_records(cfg: ExperimentConfig, trial_idx: int, digest: str) -> list:
         for si, snr_db in enumerate(cfg.snr_grid_db):
             seq = np.random.SeedSequence(cfg.master_seed, spawn_key=(1, vi, si, trial_idx))
             seed_used = int(seq.generate_state(1)[0])
-            rng = np.random.default_rng(seq)
-            snr_lin = 10.0 ** (snr_db / 10.0)
-            rho = snr_lin * cfg.ms.n_elements * sigma2 / h2 if h2 > 0 else 1.0
-            if variant.protocol is None:
-                beams = EstimatedBeamformers(d_ms=chan.u[:, :m], d_bs=chan.v[:, :m])
-            else:
-                pcfg = replace(variant.protocol, tx_power_scale=rho)
-                beams = run_protocol(chan, pcfg, front, sigma2, rng)
-            p_t = rho * cfg.metrics.p_t_bs
-            se = spectral_efficiency(chan.h, beams.d_ms, beams.d_bs, p_t, sigma2)
-            ser = None
-            if m == 1:
-                mcfg = replace(cfg.metrics, p_t_bs=p_t)
-                ser = dpsk_ser_trial(chan, beams, mcfg, sigma2, rng)
-            records.append(
-                TrialRecord(
-                    trial_index=trial_idx,
-                    variant=variant.name,
-                    snr_db=snr_db,
-                    eta_u=normalized_correlation(u1, beams.d_ms[:, 0]),
-                    eta_v=normalized_correlation(v1, beams.d_bs[:, 0]),
-                    spectral_eff_bits=se,
-                    ser=ser,
-                    seed_used=seed_used,
-                    config_digest=digest,
+            try:
+                rng = np.random.default_rng(seq)
+                snr_lin = 10.0 ** (snr_db / 10.0)
+                rho = snr_lin * cfg.ms.n_elements * sigma2 / h2 if h2 > 0 else 1.0
+                if variant.protocol is None:
+                    beams = EstimatedBeamformers(d_ms=chan.u[:, :m], d_bs=chan.v[:, :m])
+                else:
+                    pcfg = replace(variant.protocol, tx_power_scale=rho)
+                    beams = run_protocol(chan, pcfg, front, sigma2, rng)
+                p_t = rho * cfg.metrics.p_t_bs
+                se = spectral_efficiency(chan.h, beams.d_ms, beams.d_bs, p_t, sigma2)
+                ser = None
+                if m == 1:
+                    mcfg = replace(cfg.metrics, p_t_bs=p_t)
+                    ser = dpsk_ser_trial(chan, beams, mcfg, sigma2, rng)
+                records.append(
+                    TrialRecord(
+                        trial_index=trial_idx,
+                        variant=variant.name,
+                        snr_db=snr_db,
+                        eta_u=normalized_correlation(u1, beams.d_ms[:, 0]),
+                        eta_v=normalized_correlation(v1, beams.d_bs[:, 0]),
+                        spectral_eff_bits=se,
+                        ser=ser,
+                        seed_used=seed_used,
+                        config_digest=digest,
+                    )
                 )
-            )
+            except Exception as exc:
+                raise RuntimeError(
+                    f"trial {trial_idx}, variant {variant.name}, snr_db {snr_db}, "
+                    f"seed_used {seed_used}: {exc}"
+                ) from exc
     return records
 
 

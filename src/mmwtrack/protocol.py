@@ -124,41 +124,48 @@ def compose_hybrid(front: HybridFrontEnd, d_bb_ms, d_bb_bs) -> EstimatedBeamform
 
 
 def _lift_and_normalize(d_rf, d_bb):
-    """Unit-column d_rf @ d_bb and the equally rescaled d_bb; d_rf None is fully digital."""
+    """Unit-column d_rf @ d_bb and the equally rescaled d_bb, or None for it if d_rf is None."""
     d_bb = np.asarray(d_bb, dtype=complex)
     full = d_bb if d_rf is None else d_rf @ d_bb
     norms = np.linalg.norm(full, axis=0)
     if np.any(norms == 0.0):
         raise ValueError("zero beamformer column cannot be normalized")
-    return full / norms, d_bb / norms
+    return full / norms, None if d_rf is None else d_bb / norms
 
 
-def _make_tracker(spec: TrackerSpec, w0, lam0):
-    if spec.kind == TRACKER_PASTD:
-        return PastdTracker(w=w0, lam=lam0, beta=spec.beta)
-    return OojaTracker(w=w0, delta=spec.delta, sign=spec.sign)
+def _probe_and_track(link, d_rf, n_probes, cfg: ProtocolConfig, sigma2_n, rng) -> np.ndarray:
+    """Probe link (n_rx x n_tx) with n_probes antipodal vectors; track the received rows.
 
-
-def _noise(sigma2_n: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    scale = math.sqrt(sigma2_n / 2.0)
-    return scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-
-
-def _antipodal(n: int, rng: np.random.Generator) -> np.ndarray:
-    return rng.integers(0, 2, size=n) * 2.0 - 1.0
-
-
-def _track_stream(samples, cfg: ProtocolConfig) -> np.ndarray:
-    """Warm start on the first cfg.warmup samples, track the rest."""
-    dim = samples[0].shape[0]
+    Draws the +-1 block S (n_probes x n_tx), then the real and the imaginary noise
+    blocks N, forms R = sqrt(rho) S link^T + sqrt(sigma2/2) N, combines it as
+    R conj(d_rf) unless d_rf is None, warm-starts on cfg.warmup rows, tracks the rest.
+    """
+    n_rx, n_tx = link.shape
+    s = rng.integers(0, 2, size=(n_probes, n_tx)) * 2.0 - 1.0
+    noise = rng.standard_normal((n_probes, n_rx)) + 1j * rng.standard_normal((n_probes, n_rx))
+    r = math.sqrt(cfg.tx_power_scale) * (s @ link.T) + math.sqrt(sigma2_n / 2.0) * noise
+    if d_rf is not None:
+        r = r @ d_rf.conj()
     if cfg.warmup >= 1:
-        w0, lam0 = init_from_samples(samples[: cfg.warmup], cfg.m)
+        w0, lam0 = init_from_samples(r[: cfg.warmup], cfg.m)
     else:
-        w0 = np.eye(dim, dtype=complex)[:, : cfg.m]
-        lam0 = np.ones(cfg.m)
-    tracker = _make_tracker(cfg.tracker, w0, lam0)
-    tracker_run(tracker, samples[cfg.warmup :])
+        w0, lam0 = np.eye(r.shape[1], dtype=complex)[:, : cfg.m], np.ones(cfg.m)
+    spec = cfg.tracker
+    if spec.kind == TRACKER_PASTD:
+        tracker = PastdTracker(w=w0, lam=lam0, beta=spec.beta)
+    else:
+        tracker = OojaTracker(w=w0, delta=spec.delta, sign=spec.sign)
+    tracker_run(tracker, r[cfg.warmup :])
     return extract_basis(tracker)
+
+
+def _combiners(cfg: ProtocolConfig, front: HybridFrontEnd | None):
+    """(MS, BS) analog combiners: (None, None) fully digital."""
+    if cfg.mode == MODE_FD:
+        return None, None
+    if front is None:
+        raise ValueError("hybrid mode requires a HybridFrontEnd")
+    return front.d_ms_rf, front.d_bs_rf
 
 
 def run_phase_a(
@@ -172,17 +179,8 @@ def run_phase_a(
 
     Full antenna dimension in FD mode, RF-chain dimension in hybrid mode.
     """
-    n_ms, n_bs = chan.h.shape
-    if cfg.mode == MODE_HY and front is None:
-        raise ValueError("hybrid mode requires a HybridFrontEnd")
-    amp = math.sqrt(cfg.tx_power_scale)
-    comb = front.d_ms_rf.conj().T if cfg.mode == MODE_HY else None
-    samples = []
-    for _ in range(cfg.p_bs):
-        s = amp * _antipodal(n_bs, rng)
-        r = chan.h @ s + _noise(sigma2_n, n_ms, rng)
-        samples.append(comb @ r if comb is not None else r)
-    return _track_stream(samples, cfg)
+    d_ms_rf, _ = _combiners(cfg, front)
+    return _probe_and_track(chan.h, d_ms_rf, cfg.p_bs, cfg, sigma2_n, rng)
 
 
 def run_phase_b(
@@ -197,17 +195,8 @@ def run_phase_b(
     n_ms, n_bs = chan.h.shape
     if d_ms.shape != (n_ms, cfg.m):
         raise ValueError(f"d_ms has shape {d_ms.shape}, expected ({n_ms}, {cfg.m})")
-    if cfg.mode == MODE_HY and front is None:
-        raise ValueError("hybrid mode requires a HybridFrontEnd")
-    amp = math.sqrt(cfg.tx_power_scale)
-    comb = front.d_bs_rf.conj().T if cfg.mode == MODE_HY else None
-    h_up = chan.h.conj().T
-    samples = []
-    for _ in range(cfg.p_ms):
-        s = amp * _antipodal(cfg.m, rng)
-        r = h_up @ (d_ms @ s) + _noise(sigma2_n, n_bs, rng)
-        samples.append(comb @ r if comb is not None else r)
-    return _track_stream(samples, cfg)
+    _, d_bs_rf = _combiners(cfg, front)
+    return _probe_and_track(chan.h.conj().T @ d_ms, d_bs_rf, cfg.p_ms, cfg, sigma2_n, rng)
 
 
 def run_protocol(
@@ -218,11 +207,7 @@ def run_protocol(
     rng: np.random.Generator,
 ) -> EstimatedBeamformers:
     """Run both phases and return unit-column beamformers; hybrid mode needs a front end."""
-    d_bb_ms = run_phase_a(chan, cfg, front, sigma2_n, rng)
-    if cfg.mode == MODE_FD:
-        d_ms, _ = _lift_and_normalize(None, d_bb_ms)
-        d_bs, _ = _lift_and_normalize(None, run_phase_b(chan, d_ms, cfg, front, sigma2_n, rng))
-        return EstimatedBeamformers(d_ms=d_ms, d_bs=d_bs)
-    d_ms, _ = _lift_and_normalize(front.d_ms_rf, d_bb_ms)
-    d_bb_bs = run_phase_b(chan, d_ms, cfg, front, sigma2_n, rng)
-    return compose_hybrid(front, d_bb_ms, d_bb_bs)
+    d_ms_rf, d_bs_rf = _combiners(cfg, front)
+    d_ms, d_ms_bb = _lift_and_normalize(d_ms_rf, run_phase_a(chan, cfg, front, sigma2_n, rng))
+    d_bs, d_bs_bb = _lift_and_normalize(d_bs_rf, run_phase_b(chan, d_ms, cfg, front, sigma2_n, rng))
+    return EstimatedBeamformers(d_ms=d_ms, d_bs=d_bs, d_ms_bb=d_ms_bb, d_bs_bb=d_bs_bb)

@@ -26,13 +26,12 @@ def init_from_samples(samples, m: int):
     (1/K) sum r r^H and their eigenvalues clamped below at a small floor.
     A degenerate (all-zero) batch falls back to the canonical basis.
     """
-    samples = [np.asarray(s, dtype=complex) for s in samples]
-    if len(samples) < 1:
+    r = np.asarray(samples, dtype=complex).T  # one sample per column
+    if r.ndim != 2 or r.shape[1] < 1:
         raise ValueError("need at least one sample")
-    n = samples[0].shape[0]
+    n = r.shape[0]
     if not 1 <= m <= n:
         raise ValueError(f"m must be in [1, {n}], got {m}")
-    r = np.stack(samples, axis=1)
     cov = (r @ r.conj().T) / r.shape[1]
     evals, evecs = np.linalg.eigh(cov)
     order = np.argsort(evals)[::-1][:m]

@@ -132,6 +132,22 @@ class TestDpskSer:
         b = dpsk_ser_trial(chan, rot, cfg, 0.05, np.random.default_rng(2))
         assert a == b
 
+    def test_scaled_combiner_gives_the_same_ser(self):
+        chan = rank1_channel()
+        cfg = MetricConfig(n_data_symbols=5000, p_t_bs=2.0)
+        base = EstimatedBeamformers(d_ms=chan.u[:, :1], d_bs=chan.v[:, :1])
+        scaled = EstimatedBeamformers(d_ms=3.0 * chan.u[:, :1], d_bs=chan.v[:, :1])
+        a = dpsk_ser_trial(chan, base, cfg, 0.2, np.random.default_rng(2))
+        b = dpsk_ser_trial(chan, scaled, cfg, 0.2, np.random.default_rng(2))
+        assert 0.0 < a < 1.0
+        assert a == b
+
+    def test_zero_combiner_rejected(self):
+        chan = rank1_channel()
+        beams = EstimatedBeamformers(d_ms=np.zeros((8, 1), dtype=complex), d_bs=chan.v[:, :1])
+        with pytest.raises(ValueError):
+            dpsk_ser_trial(chan, beams, MetricConfig(), 0.1, np.random.default_rng(0))
+
     def test_matches_scalar_oracle_at_same_effective_snr(self):
         chan = rank1_channel()
         s1 = chan.sigma[0]

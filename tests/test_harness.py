@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from mmwtrack import harness
 from mmwtrack import (
     ConfigError,
     config_digest,
@@ -129,14 +132,55 @@ class TestLoadConfig:
     def test_reads_from_file(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text(SMALL)
-        assert config_digest(load_config(str(path))) == config_digest(load_config(SMALL))
+        assert config_digest(load_config(Path(path))) == config_digest(load_config(SMALL))
 
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="cannot read"):
-            load_config("/nonexistent/cfg.txt")
+            load_config(Path("/nonexistent/cfg.txt"))
+
+    def test_one_line_comment_is_text_not_a_path(self):
+        assert config_digest(load_config("# just a comment")) == config_digest(load_config(""))
+
+    def test_one_line_text_without_equals_names_the_line(self):
+        with pytest.raises(ConfigError, match="line 1: expected 'key = value'"):
+            load_config("n_trials 5")
+
+
+ONE_TRIAL = SMALL.replace("n_trials = 3", "n_trials = 1")
+
+
+def fail_third_evaluation(monkeypatch):
+    """Make spectral_efficiency raise on its third call: trial 0, ooja-hy, 0 dB.
+
+    Returns the seed_used of that (variant, SNR, trial) stream.
+    """
+    real = harness.spectral_efficiency
+    calls = []
+
+    def flaky(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            raise FloatingPointError("injected failure")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "spectral_efficiency", flaky)
+    seq = np.random.SeedSequence(7, spawn_key=(1, 1, 0, 0))
+    return int(seq.generate_state(1)[0])
+
+
+def assert_names_the_failed_run(message, seed_used):
+    coordinates = ("trial 0", "variant ooja-hy", "snr_db 0.0", f"seed_used {seed_used}")
+    for part in ("injected failure",) + coordinates:
+        assert part in message
 
 
 class TestRunExperiment:
+    def test_trial_error_names_its_coordinates(self, monkeypatch):
+        seed_used = fail_third_evaluation(monkeypatch)
+        with pytest.raises(RuntimeError) as info:
+            run_experiment(load_config(ONE_TRIAL))
+        assert_names_the_failed_run(str(info.value), seed_used)
+
     def test_oracle_variant_is_exact(self):
         cfg = load_config("n_trials = 1\nsnr_grid_db = 10\nvariants = oracle\nn_bs = 16\nn_ms = 8\nn_rf_bs = 8\nn_rf_ms = 4\n")
         records = run_experiment(cfg)
@@ -248,6 +292,15 @@ class TestCli:
         path.write_text(SMALL)
         assert cli_main(["validate", "--config", str(path)]) == 0
         assert config_digest(load_config(SMALL)) in capsys.readouterr().out
+
+    def test_runtime_error_names_the_failed_run(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "cfg.txt"
+        path.write_text(ONE_TRIAL)
+        seed_used = fail_third_evaluation(monkeypatch)
+        assert cli_main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error:")
+        assert_names_the_failed_run(err, seed_used)
 
     def test_simulate_writes_outputs(self, tmp_path):
         path = tmp_path / "cfg.txt"

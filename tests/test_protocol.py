@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mmwtrack import protocol
 from mmwtrack import (
     ArrayConfig,
     RayParams,
@@ -239,3 +240,56 @@ class TestRunProtocol:
     def test_warmup_bound_enforced(self):
         with pytest.raises(ValueError):
             small_cfg(warmup=30)
+
+
+class TestProbingContract:
+    """The tracked stream is R = sqrt(rho) S link^T + sqrt(sigma2/2) N, drawn as blocks."""
+
+    RHO, SIGMA2, SEED = 2.0, 0.1, 11
+
+    @staticmethod
+    def capture_streams(monkeypatch):
+        """Record each phase's warm-start rows followed by its tracked rows."""
+        streams = []
+        init, run = protocol.init_from_samples, protocol.tracker_run
+
+        def init_spy(samples, m):
+            streams.append(np.array(samples))
+            return init(samples, m)
+
+        def run_spy(tracker, stream):
+            streams[-1] = np.concatenate([streams[-1], np.array(stream)])
+            return run(tracker, stream)
+
+        monkeypatch.setattr(protocol, "init_from_samples", init_spy)
+        monkeypatch.setattr(protocol, "tracker_run", run_spy)
+        return streams
+
+    def expected_stream(self, link, n_probes, rng):
+        s = rng.integers(0, 2, size=(n_probes, link.shape[1])) * 2.0 - 1.0
+        re = rng.standard_normal((n_probes, link.shape[0]))
+        im = rng.standard_normal((n_probes, link.shape[0]))
+        return math.sqrt(self.RHO) * (s @ link.T) + math.sqrt(self.SIGMA2 / 2.0) * (re + 1j * im)
+
+    def test_fd_streams_follow_the_documented_draw_order(self, monkeypatch):
+        chan = rank1_channel()
+        cfg = small_cfg(tx_power_scale=self.RHO, p_ms=25)
+        d_ms = chan.u[:, :1]
+        streams = self.capture_streams(monkeypatch)
+        run_phase_a(chan, cfg, None, self.SIGMA2, np.random.default_rng(self.SEED))
+        run_phase_b(chan, d_ms, cfg, None, self.SIGMA2, np.random.default_rng(self.SEED))
+        phase_a = self.expected_stream(chan.h, 30, np.random.default_rng(self.SEED))
+        phase_b = self.expected_stream(chan.h.conj().T @ d_ms, 25, np.random.default_rng(self.SEED))
+        np.testing.assert_allclose(streams[0], phase_a, rtol=1e-12)
+        np.testing.assert_allclose(streams[1], phase_b, rtol=1e-12)
+
+    def test_hybrid_stream_is_fd_stream_behind_the_combiner(self, monkeypatch):
+        chan = rank1_channel()
+        fd = small_cfg(tx_power_scale=self.RHO)
+        hy = small_cfg(tx_power_scale=self.RHO, mode="hy")
+        front = make_front_end(ArrayConfig(16), ArrayConfig(8), hy)
+        streams = self.capture_streams(monkeypatch)
+        run_phase_a(chan, fd, None, self.SIGMA2, np.random.default_rng(self.SEED))
+        run_phase_a(chan, hy, front, self.SIGMA2, np.random.default_rng(self.SEED))
+        assert streams[1].shape == (30, hy.n_rf_ms)
+        np.testing.assert_allclose(streams[1], streams[0] @ front.d_ms_rf.conj(), rtol=1e-12)
