@@ -3,7 +3,7 @@
 Two trackers are provided: a deflation-based RLS tracker that extracts
 eigenvectors sequentially with a forgetting factor, and an Oja-style
 stochastic update with an exact closed-form orthonormalization. Both can be
-warm-started from a short batch via the sample covariance eigendecomposition.
+warm-started from a short batch via a thin SVD of the batch's sample block.
 """
 
 from __future__ import annotations
@@ -20,26 +20,28 @@ PROJ_NORM_FLOOR = 1e-24
 
 
 def init_from_samples(samples, m: int):
-    """Warm-start basis from the sample covariance of a short batch.
+    """Warm-start basis from a thin SVD of a short batch.
 
-    Returns (w, lam): the m dominant orthonormal eigenvectors of
-    (1/K) sum r r^H and their eigenvalues clamped below at a small floor.
-    A degenerate (all-zero) batch falls back to the canonical basis.
+    Returns (w, lam): the m dominant left singular vectors of the n x K block
+    R = [r_1 ... r_K], which are the eigenvectors of (1/K) R R^H, and their
+    eigenvalues s^2 / K clamped below at a small floor. When m > K, the
+    columns beyond the K samples complete the basis orthonormally, with lam
+    at the floor. A degenerate (all-zero) batch falls back to the canonical
+    basis.
     """
     r = np.asarray(samples, dtype=complex).T  # one sample per column
     if r.ndim != 2 or r.shape[1] < 1:
         raise ValueError("need at least one sample")
-    n = r.shape[0]
+    n, k = r.shape
     if not 1 <= m <= n:
         raise ValueError(f"m must be in [1, {n}], got {m}")
-    cov = (r @ r.conj().T) / r.shape[1]
-    evals, evecs = np.linalg.eigh(cov)
-    order = np.argsort(evals)[::-1][:m]
-    lam = np.maximum(evals[order].real, EIGVAL_FLOOR)
-    if evals[order[0]].real <= EIGVAL_FLOOR:
+    u, s, _ = np.linalg.svd(r, full_matrices=m > k)
+    lam = np.full(m, EIGVAL_FLOOR)
+    lam[: min(m, k)] = np.maximum(s[:m] ** 2 / k, EIGVAL_FLOOR)
+    if lam[0] <= EIGVAL_FLOOR:
         w = np.eye(n, dtype=complex)[:, :m]
     else:
-        w = _fix_phases(evecs[:, order])
+        w = _fix_phases(u[:, :m])
     return w, lam
 
 

@@ -1,3 +1,4 @@
+import math
 from pathlib import Path
 
 import numpy as np
@@ -195,6 +196,14 @@ class TestRunExperiment:
     def test_parallel_matches_serial(self):
         cfg = load_config(SMALL)
         assert run_experiment(cfg, workers=1) == run_experiment(cfg, workers=2)
+
+    def test_single_warmup_sample_below_multiplexing_order(self):
+        # one warm-up sample spans rank 1, so the second column is a completion
+        text = ONE_TRIAL.replace("variants =", "warmup = 1\nmultiplexing_order = 2\nvariants = pastd-hy,")
+        records = run_experiment(load_config(text))
+        assert len(records) == 4 * 2
+        for r in records:
+            assert all(math.isfinite(x) for x in (r.eta_u, r.eta_v, r.spectral_eff_bits))
 
     def test_record_ranges_and_ordering(self):
         cfg = load_config(SMALL)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mmwtrack import OojaTracker, PastdTracker, extract_basis, init_from_samples, tracker_run
+from mmwtrack.tracking import EIGVAL_FLOOR
 from util import cov_sqrt, draw_samples, synth_covariance
 
 
@@ -55,6 +56,21 @@ class TestInitFromSamples:
         evals, evecs = np.linalg.eigh(r @ r.conj().T / r.shape[1])
         assert abs(np.vdot(w[:, 0], evecs[:, -1])) == pytest.approx(1.0, abs=1e-10)
         assert lam[0] == pytest.approx(evals[-1], rel=1e-10)
+
+    def test_fewer_samples_than_m_completes_the_basis(self):
+        rng = np.random.default_rng(11)
+        n = 6
+        r = (rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))) * [3.0, 1.0]
+        w, lam = init_from_samples(list(r.T), 4)
+        assert w.shape == (n, 4)
+        np.testing.assert_allclose(w.conj().T @ w, np.eye(4), atol=1e-12)
+        # oracle: dense eigendecomposition of the same sample covariance
+        evals, evecs = np.linalg.eigh(r @ r.conj().T / 2)
+        assert evals[-1] > evals[-2] * 1.01
+        for col in range(2):
+            assert abs(np.vdot(w[:, col], evecs[:, -1 - col])) == pytest.approx(1.0, abs=1e-10)
+        np.testing.assert_allclose(lam[:2], evals[::-1][:2], rtol=1e-10)
+        assert np.all(lam[2:] == EIGVAL_FLOOR)
 
     def test_errors(self):
         with pytest.raises(ValueError):
