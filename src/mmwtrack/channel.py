@@ -128,20 +128,22 @@ def path_loss_linear(params: ChannelParams, distance_m: float) -> float:
 def _fix_phases(u: np.ndarray, v: np.ndarray | None = None):
     """Rotate each column of u so its largest-magnitude entry is real positive.
 
-    When v is given, its matching column is rotated by the same unit scalar,
-    which leaves u @ diag(s) @ v^H unchanged.
+    u may be a stack (..., n, m). The first of tied largest entries is the
+    pivot, and an all-zero column is left as it is. When v is given, its matching
+    column is rotated by the same unit scalar, leaving u @ diag(s) @ v^H unchanged.
     """
+    pivot = np.take_along_axis(u, np.argmax(np.abs(u), axis=-2)[..., None, :], axis=-2)[..., 0, :]
+    pivot_mag = np.hypot(pivot.real, pivot.imag)  # the scalar abs; np.abs of arrays rounds apart
+    rot = np.conj(pivot) / np.where(pivot_mag == 0.0, 1.0, pivot_mag)
+    rot[pivot_mag == 0.0] = 1.0
+    # in place column by column: numpy rounds a complex product on a strided
+    # column apart from one on a contiguous array, and these bits reach the records
     u = u.copy()
     v = v.copy() if v is not None else None
-    for col in range(u.shape[1]):
-        idx = int(np.argmax(np.abs(u[:, col])))
-        pivot = u[idx, col]
-        if abs(pivot) == 0.0:
-            continue
-        rot = np.conj(pivot) / abs(pivot)
-        u[:, col] *= rot
+    for col in range(u.shape[-1]):
+        u[..., col] *= rot[..., col, None]
         if v is not None:
-            v[:, col] *= rot
+            v[..., col] *= rot[..., col, None]
     return u if v is None else (u, v)
 
 

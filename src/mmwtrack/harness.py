@@ -11,6 +11,7 @@ trial index alone and therefore shared across variants and SNR points
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -268,6 +269,19 @@ def config_digest(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(resolved_text(cfg).encode("utf-8")).hexdigest()[:16]
 
 
+def _check_beams(beams: EstimatedBeamformers) -> None:
+    for name, d in (("d_ms", beams.d_ms), ("d_bs", beams.d_bs)):
+        norms = np.sqrt(np.vecdot(d, d, axis=0).real)
+        if not np.all(np.abs(norms - 1.0) <= 1e-9):  # false for a NaN or inf too
+            fault = "is not finite" if not np.all(np.isfinite(d)) else "is not unit norm"
+            raise ValueError(f"{name} {fault}")
+
+
+def _check_metrics(eta_u: float, eta_v: float, se: float) -> None:
+    if not (0.0 <= eta_u <= 1.0 and 0.0 <= eta_v <= 1.0 and math.isfinite(se)):
+        raise ValueError(f"invalid metrics: eta_u {eta_u}, eta_v {eta_v}, se {se}")
+
+
 def _trial_records(cfg: ExperimentConfig, trial_idx: int, digest: str) -> list:
     chan_rng = np.random.default_rng(
         np.random.SeedSequence(cfg.master_seed, spawn_key=(0, trial_idx))
@@ -279,23 +293,35 @@ def _trial_records(cfg: ExperimentConfig, trial_idx: int, digest: str) -> list:
     u1 = chan.u[:, 0]
     v1 = chan.v[:, 0]
     front = make_front_end(cfg.bs, cfg.ms, cfg.protocol)
+    snrs = cfg.snr_grid_db
+    rhos = [10.0 ** (x / 10.0) * cfg.ms.n_elements * sigma2 / h2 if h2 > 0 else 1.0 for x in snrs]
+    oracle = EstimatedBeamformers(d_ms=chan.u[:, :m], d_bs=chan.v[:, :m])
 
     records = []
     for vi, variant in enumerate(cfg.variants):
-        for si, snr_db in enumerate(cfg.snr_grid_db):
-            seq = np.random.SeedSequence(cfg.master_seed, spawn_key=(1, vi, si, trial_idx))
-            seed_used = int(seq.generate_state(1)[0])
+        # one stream per SNR point, run stacked: the same draws as one run per stream
+        seqs = [np.random.SeedSequence(cfg.master_seed, spawn_key=(1, vi, si, trial_idx))
+                for si in range(len(snrs))]
+        seeds = [int(seq.generate_state(1)[0]) for seq in seqs]
+        rngs = [np.random.default_rng(seq) for seq in seqs]
+        where = f"trial {trial_idx}, variant {variant.name}, snr_db {{}}, seed_used {{}}: {{}}"
+        try:  # a failure of the stacked run is not one stream's: it names them all
+            if variant.protocol is not None:
+                pcfg = replace(variant.protocol, tx_power_scale=tuple(rhos))
+                stack = run_protocol(chan, pcfg, front, sigma2, rngs)
+        except Exception as exc:
+            raise RuntimeError(where.format(snrs, seeds, exc)) from exc
+        for si, (snr_db, rho, seed_used, rng) in enumerate(zip(snrs, rhos, seeds, rngs)):
             try:
-                rng = np.random.default_rng(seq)
-                snr_lin = 10.0 ** (snr_db / 10.0)
-                rho = snr_lin * cfg.ms.n_elements * sigma2 / h2 if h2 > 0 else 1.0
-                if variant.protocol is None:
-                    beams = EstimatedBeamformers(d_ms=chan.u[:, :m], d_bs=chan.v[:, :m])
-                else:
-                    pcfg = replace(variant.protocol, tx_power_scale=rho)
-                    beams = run_protocol(chan, pcfg, front, sigma2, rng)
+                beams = oracle
+                if variant.protocol is not None:
+                    beams = EstimatedBeamformers(stack.d_ms[si], stack.d_bs[si])
+                _check_beams(beams)
                 p_t = rho * cfg.metrics.p_t_bs
                 se = spectral_efficiency(chan.h, beams.d_ms, beams.d_bs, p_t, sigma2)
+                eta_u = normalized_correlation(u1, beams.d_ms[:, 0])
+                eta_v = normalized_correlation(v1, beams.d_bs[:, 0])
+                _check_metrics(eta_u, eta_v, se)
                 ser = None
                 if m == 1:
                     mcfg = replace(cfg.metrics, p_t_bs=p_t)
@@ -305,8 +331,8 @@ def _trial_records(cfg: ExperimentConfig, trial_idx: int, digest: str) -> list:
                         trial_index=trial_idx,
                         variant=variant.name,
                         snr_db=snr_db,
-                        eta_u=normalized_correlation(u1, beams.d_ms[:, 0]),
-                        eta_v=normalized_correlation(v1, beams.d_bs[:, 0]),
+                        eta_u=eta_u,
+                        eta_v=eta_v,
                         spectral_eff_bits=se,
                         ser=ser,
                         seed_used=seed_used,
@@ -314,10 +340,7 @@ def _trial_records(cfg: ExperimentConfig, trial_idx: int, digest: str) -> list:
                     )
                 )
             except Exception as exc:
-                raise RuntimeError(
-                    f"trial {trial_idx}, variant {variant.name}, snr_db {snr_db}, "
-                    f"seed_used {seed_used}: {exc}"
-                ) from exc
+                raise RuntimeError(where.format(snr_db, seed_used, exc)) from exc
     return records
 
 

@@ -54,7 +54,7 @@ class ProtocolConfig:
     mode: str = MODE_FD
     n_rf_bs: int = 20
     n_rf_ms: int = 10
-    tx_power_scale: float = 1.0
+    tx_power_scale: float | tuple = 1.0  # a tuple: one per stream of a stack
     tracker: TrackerSpec = field(default_factory=TrackerSpec)
 
     def __post_init__(self):
@@ -70,7 +70,7 @@ class ProtocolConfig:
             raise ValueError(f"mode must be 'fd' or 'hy', got {self.mode!r}")
         if self.mode == MODE_HY and self.m > min(self.n_rf_bs, self.n_rf_ms):
             raise ValueError("hybrid mode requires m <= min(n_rf_bs, n_rf_ms)")
-        if self.tx_power_scale <= 0:
+        if not np.all(np.asarray(self.tx_power_scale) > 0):
             raise ValueError("tx_power_scale must be > 0")
 
 
@@ -127,7 +127,7 @@ def _lift_and_normalize(d_rf, d_bb):
     """Unit-column d_rf @ d_bb and the equally rescaled d_bb, or None for it if d_rf is None."""
     d_bb = np.asarray(d_bb, dtype=complex)
     full = d_bb if d_rf is None else d_rf @ d_bb
-    norms = np.linalg.norm(full, axis=0)
+    norms = np.linalg.norm(full, axis=-2, keepdims=True)
     if np.any(norms == 0.0):
         raise ValueError("zero beamformer column cannot be normalized")
     return full / norms, None if d_rf is None else d_bb / norms
@@ -136,26 +136,44 @@ def _lift_and_normalize(d_rf, d_bb):
 def _probe_and_track(link, d_rf, n_probes, cfg: ProtocolConfig, sigma2_n, rng) -> np.ndarray:
     """Probe link (n_rx x n_tx) with n_probes antipodal vectors; track the received rows.
 
-    Draws the +-1 block S (n_probes x n_tx), then the real and the imaginary noise
-    blocks N, forms R = sqrt(rho) S link^T + sqrt(sigma2/2) N, combines it as
-    R conj(d_rf) unless d_rf is None, warm-starts on cfg.warmup rows, tracks the rest.
+    Per stream, draws the +-1 block S (n_probes x n_tx), then the real and the
+    imaginary noise blocks N, forms R = sqrt(rho) S link^T + sqrt(sigma2/2) N,
+    combines it as R conj(d_rf) unless d_rf is None, warm-starts on cfg.warmup
+    rows, tracks the rest. A sequence of S generators, each with its own
+    cfg.tx_power_scale and optionally its own link (S, n_rx, n_tx), runs S
+    streams stacked; one Generator is that stack at S = 1 without its axis.
     """
-    n_rx, n_tx = link.shape
-    s = rng.integers(0, 2, size=(n_probes, n_tx)) * 2.0 - 1.0
-    noise = rng.standard_normal((n_probes, n_rx)) + 1j * rng.standard_normal((n_probes, n_rx))
-    r = math.sqrt(cfg.tx_power_scale) * (s @ link.T) + math.sqrt(sigma2_n / 2.0) * noise
-    if d_rf is not None:
-        r = r @ d_rf.conj()
+    single = isinstance(rng, np.random.Generator)
+    rngs = [rng] if single else rng
+    n_rx, n_tx = link.shape[-2:]
+    s = np.empty((len(rngs), n_probes, n_tx))
+    re = np.empty((len(rngs), n_probes, n_rx))
+    im = np.empty_like(re)
+    for i, gen in enumerate(rngs):  # drawn in place: stacking drawn blocks costs as much again
+        s[i] = gen.integers(0, 2, size=(n_probes, n_tx))
+        gen.standard_normal(out=re[i])
+        gen.standard_normal(out=im[i])
+    # S is real, so S link^T is one real product on the interleaved real and
+    # imaginary parts of link^T, and the noise adds to those parts in place
+    link_t = np.ascontiguousarray(np.swapaxes(link, -1, -2)).view(np.float64)
+    parts = np.matmul(s * 2.0 - 1.0, link_t)
+    parts *= np.sqrt(np.broadcast_to(cfg.tx_power_scale, len(rngs)))[:, None, None]
+    parts[..., 0::2] += math.sqrt(sigma2_n / 2.0) * re
+    parts[..., 1::2] += math.sqrt(sigma2_n / 2.0) * im
+    r = parts.view(complex) if d_rf is None else parts.view(complex) @ d_rf.conj()
+    r = r[0] if single else r
+    lead, n = r.shape[:-2], r.shape[-1]
     if cfg.warmup >= 1:
-        w0, lam0 = init_from_samples(r[: cfg.warmup], cfg.m)
+        w0, lam0 = init_from_samples(r[..., : cfg.warmup, :], cfg.m)
     else:
-        w0, lam0 = np.eye(r.shape[1], dtype=complex)[:, : cfg.m], np.ones(cfg.m)
+        w0 = np.broadcast_to(np.eye(n)[:, : cfg.m], lead + (n, cfg.m))
+        lam0 = np.ones(lead + (cfg.m,))
     spec = cfg.tracker
     if spec.kind == TRACKER_PASTD:
         tracker = PastdTracker(w=w0, lam=lam0, beta=spec.beta)
     else:
         tracker = OojaTracker(w=w0, delta=spec.delta, sign=spec.sign)
-    tracker_run(tracker, r[cfg.warmup :])
+    tracker_run(tracker, np.moveaxis(r[..., cfg.warmup :, :], -2, 0))
     return extract_basis(tracker)
 
 
@@ -191,9 +209,9 @@ def run_phase_b(
     sigma2_n: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Uplink probing through the estimated precoder; tracks the right subspace."""
+    """Uplink probing through the estimated precoder (an (S, n_ms, m) stack for S streams)."""
     n_ms, n_bs = chan.h.shape
-    if d_ms.shape != (n_ms, cfg.m):
+    if d_ms.shape[-2:] != (n_ms, cfg.m):
         raise ValueError(f"d_ms has shape {d_ms.shape}, expected ({n_ms}, {cfg.m})")
     _, d_bs_rf = _combiners(cfg, front)
     return _probe_and_track(chan.h.conj().T @ d_ms, d_bs_rf, cfg.p_ms, cfg, sigma2_n, rng)
@@ -206,7 +224,11 @@ def run_protocol(
     sigma2_n: float,
     rng: np.random.Generator,
 ) -> EstimatedBeamformers:
-    """Run both phases and return unit-column beamformers; hybrid mode needs a front end."""
+    """Run both phases and return unit-column beamformers; hybrid mode needs a front end.
+
+    With a sequence of S generators and S values of cfg.tx_power_scale, the S
+    streams run stacked and every beamformer gains a leading stream axis.
+    """
     d_ms_rf, d_bs_rf = _combiners(cfg, front)
     d_ms, d_ms_bb = _lift_and_normalize(d_ms_rf, run_phase_a(chan, cfg, front, sigma2_n, rng))
     d_bs, d_bs_bb = _lift_and_normalize(d_bs_rf, run_phase_b(chan, d_ms, cfg, front, sigma2_n, rng))

@@ -22,26 +22,25 @@ PROJ_NORM_FLOOR = 1e-24
 def init_from_samples(samples, m: int):
     """Warm-start basis from a thin SVD of a short batch.
 
-    Returns (w, lam): the m dominant left singular vectors of the n x K block
-    R = [r_1 ... r_K], which are the eigenvectors of (1/K) R R^H, and their
-    eigenvalues s^2 / K clamped below at a small floor. When m > K, the
-    columns beyond the K samples complete the basis orthonormally, with lam
-    at the floor. A degenerate (all-zero) batch falls back to the canonical
-    basis.
+    samples is a (K, n) block, or an (S, K, n) stack of S blocks taken by one
+    batched SVD. Per block, returns (w, lam): the m dominant left singular
+    vectors of the n x K block R = [r_1 ... r_K], which are the eigenvectors
+    of (1/K) R R^H, and their eigenvalues s^2 / K clamped below at a small
+    floor. When m > K, the columns beyond the K samples complete the basis
+    orthonormally, with lam at the floor. A degenerate (all-zero) block falls
+    back to the canonical basis.
     """
-    r = np.asarray(samples, dtype=complex).T  # one sample per column
-    if r.ndim != 2 or r.shape[1] < 1:
+    r = np.asarray(samples, dtype=complex)
+    if r.ndim < 2 or r.shape[-2] < 1:
         raise ValueError("need at least one sample")
-    n, k = r.shape
+    k, n = r.shape[-2:]
     if not 1 <= m <= n:
         raise ValueError(f"m must be in [1, {n}], got {m}")
-    u, s, _ = np.linalg.svd(r, full_matrices=m > k)
-    lam = np.full(m, EIGVAL_FLOOR)
-    lam[: min(m, k)] = np.maximum(s[:m] ** 2 / k, EIGVAL_FLOOR)
-    if lam[0] <= EIGVAL_FLOOR:
-        w = np.eye(n, dtype=complex)[:, :m]
-    else:
-        w = _fix_phases(u[:, :m])
+    u, s, _ = np.linalg.svd(np.swapaxes(r, -1, -2), full_matrices=m > k)
+    lam = np.full(s.shape[:-1] + (m,), EIGVAL_FLOOR)
+    lam[..., : min(m, k)] = np.maximum(s[..., :m] ** 2 / k, EIGVAL_FLOOR)
+    w = _fix_phases(u[..., :m])
+    w[lam[..., 0] <= EIGVAL_FLOOR] = np.eye(n, dtype=complex)[:, :m]
     return w, lam
 
 
@@ -51,7 +50,8 @@ class PastdTracker:
 
     Columns of w are the current eigenvector estimates; lam holds the
     exponentially weighted eigenvalue estimates. Columns are not kept exactly
-    unit norm step to step; basis() renormalizes on extraction.
+    unit norm step to step; basis() renormalizes on extraction. w of shape
+    (S, n, m) with lam (S, m) tracks S streams at once, one sample each a step.
     """
 
     w: np.ndarray
@@ -66,29 +66,26 @@ class PastdTracker:
             raise ValueError(f"beta must be in (0, 1], got {self.beta}")
         if np.any(self.lam <= 0.0):
             raise ValueError("lam entries must be strictly positive")
-        if self.w.shape[1] != self.lam.shape[0]:
+        if self.w.shape[:-2] + self.w.shape[-1:] != self.lam.shape:
             raise ValueError("w and lam disagree on subspace dimension")
 
-    @property
-    def dim(self) -> int:
-        return self.w.shape[0]
-
     def step(self, r) -> "PastdTracker":
-        x = np.asarray(r, dtype=complex)
-        if x.shape != (self.dim,):
-            raise ValueError(f"sample has shape {x.shape}, expected ({self.dim},)")
-        for m in range(self.w.shape[1]):
-            u = self.w[:, m]
-            y = np.vdot(u, x)
-            self.lam[m] = self.beta * self.lam[m] + abs(y) ** 2
-            u += (x - u * y) * (np.conj(y) / self.lam[m])
-            x = x - u * y  # deflate with the updated vector
+        x = np.array(r, dtype=complex)  # deflated in place
+        if x.shape != self.w.shape[:-1]:
+            raise ValueError(f"sample has shape {x.shape}, expected {self.w.shape[:-1]}")
+        for m in range(self.w.shape[-1]):
+            u = self.w[..., m]
+            lam = self.lam[..., m, None]
+            y = np.vecdot(u, x)[..., None]  # u^H x per stream
+            lam *= self.beta
+            lam += abs(y) ** 2
+            u += (x - u * y) * (np.conj(y) / lam)
+            x -= u * y  # deflate with the updated vector
         self.step_count += 1
         return self
 
     def basis(self) -> np.ndarray:
-        norms = np.linalg.norm(self.w, axis=0)
-        return self.w / norms
+        return self.w / np.linalg.norm(self.w, axis=-2, keepdims=True)
 
 
 @dataclass
@@ -99,11 +96,12 @@ class OojaTracker:
     orthonormalizing correction is the same for both because the residual is
     orthogonal to the current basis.
 
-    w is a view of the first m columns of a Fortran-ordered work buffer whose
-    last column holds the current sample, so that one matrix-vector product
-    gives both W^H x and |x|^2, and another gives the update direction. A
-    step costs a fixed handful of numpy calls into preallocated arrays. Update
-    w in place; rebinding it detaches it from the buffer.
+    w of shape (S, n, m) tracks S streams at once. w is a view into a buffer
+    holding W^T and the current sample as one more row, per stream, so that one
+    batched matrix-vector product gives W^H x and |x|^2 for every stream and
+    another gives every update direction. The scalars in between are Python
+    floats: for a few streams they cost less than numpy calls on S entries.
+    Update w in place; rebinding it detaches it from the buffer.
     """
 
     w: np.ndarray
@@ -118,55 +116,62 @@ class OojaTracker:
             raise ValueError(f"delta must be > 0, got {self.delta}")
         if self.sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {self.sign}")
-        n, m = w.shape
-        buf = np.zeros((n, m + 1), dtype=complex, order="F")
-        buf[:, :m] = w
-        self.w = buf[:, :m]
-        g = np.empty(m + 1, dtype=complex)  # [conj(v); |x|^2], v = W^H x
-        u = np.empty(m + 1, dtype=complex)  # update direction's coefficients on buf
+        *lead, n, m = w.shape
+        buf = np.zeros((*lead, m + 1, n), dtype=complex)
+        wt = buf[..., :m, :]
+        wt[...] = np.swapaxes(w, -1, -2)
+        self.w = np.swapaxes(wt, -1, -2)
+        g = np.empty((*lead, m + 1), dtype=complex)  # [conj(v); |x|^2], v = W^H x
+        u = np.empty_like(g)  # update direction's coefficients on the buffer rows
+        a = np.empty((*lead, n), dtype=complex)  # update direction
         self._work = (
             buf,
-            buf[:, m],  # sample slot
-            buf.T[:m],  # W^T, C-contiguous, so the rank-1 update runs along rows
-            np.empty(n, dtype=complex),  # conj(x)
+            buf[..., m, :],  # sample slot
+            wt,
+            np.swapaxes(buf, -1, -2),
+            np.empty_like(a),  # conj(x)
             g,
+            g.reshape(-1, m + 1),
             u,
-            g[:m],
-            u[:m],
-            g[:m, None],
-            np.empty(n, dtype=complex),  # update direction
-            np.empty((m, n), dtype=complex),  # rank-1 update of W^T
+            u.reshape(-1),
+            g[..., :m, None],
+            a,
+            a[..., None, :],
+            np.empty_like(wt),  # rank-1 update of W^T
+            # the same product; for one stream, np.dot costs less per call than a gufunc
+            np.matvec if lead else np.dot,
         )
-
-    @property
-    def dim(self) -> int:
-        return self.w.shape[0]
 
     def step(self, r) -> "OojaTracker":
         x = np.asarray(r, dtype=complex)
-        buf, slot, wt, xc, g, u, vc, v, vc_col, a, outer = self._work
-        m, n = wt.shape
-        if x.shape != (n,):
-            raise ValueError(f"sample has shape {x.shape}, expected ({n},)")
+        buf, slot, wt, buf_t, xc, g, g_rows, u, u_flat, vc_col, a, a_row, outer, mv = self._work
+        if x.shape != slot.shape:
+            raise ValueError(f"sample has shape {x.shape}, expected {slot.shape}")
         slot[...] = x
-        np.conjugate(x, xc)
-        xc.dot(buf, g)
-        np.conjugate(g, u)
-        nv2 = float(vc.dot(v).real)
-        if nv2 < PROJ_NORM_FLOOR:
-            # update degenerates to the identity map as v -> 0
-            self.step_count += 1
-            return self
-        # |p|^2 for p = x - W v, by Pythagoras since W has orthonormal columns
-        np2 = max(g.item(m).real - nv2, 0.0)
-        phi = 1.0 / math.sqrt(1.0 + self.delta**2 * np2 * nv2)
-        c = self.sign * self.delta * phi
-        tau = (phi - 1.0) / nv2
-        # W (I + tau v v^H) + c p v^H = W + ((tau - c) W v + c x) v^H
-        u *= complex(tau - c)
-        u[m] = c
-        buf.dot(u, a)
-        np.multiply(vc_col, a, out=outer)
+        np.conjugate(slot, xc)
+        mv(buf, xc, out=g)
+        d2, sd = self.delta**2, self.sign * self.delta
+        coefficients = []  # u = [(tau - c) v; c] per stream, flattened
+        for row in g_rows.tolist():
+            vc = row[:-1]
+            nv2 = 0.0
+            for z in vc:
+                nv2 += z.real * z.real + z.imag * z.imag
+            if nv2 < PROJ_NORM_FLOOR:
+                # update degenerates to the identity map as v -> 0
+                coefficients += [0j] * len(row)
+                continue
+            # |p|^2 for p = x - W v, by Pythagoras since W has orthonormal columns
+            np2 = max(row[-1].real - nv2, 0.0)
+            phi = 1.0 / math.sqrt(1.0 + d2 * np2 * nv2)
+            c = sd * phi
+            tau = (phi - 1.0) / nv2
+            # W (I + tau v v^H) + c p v^H = W + ((tau - c) W v + c x) v^H
+            coefficients += [(tau - c) * z.conjugate() for z in vc]
+            coefficients.append(c)
+        u_flat[...] = coefficients
+        mv(buf_t, u, out=a)
+        np.multiply(vc_col, a_row, out=outer)
         wt += outer
         self.step_count += 1
         return self
@@ -176,7 +181,7 @@ class OojaTracker:
 
 
 def tracker_run(tracker, stream):
-    """Fold the per-sample update over a stream, in order."""
+    """Fold the per-sample update over a stream, in order; (T, S, n) for a stack."""
     for r in stream:
         tracker.step(r)
     return tracker

@@ -16,6 +16,7 @@ from mmwtrack import (
     sample_channel,
     steering_vector,
 )
+from mmwtrack.channel import _fix_phases
 
 UNIT_LOSS = LogDistancePathLoss(intercept_db=0.0, exponent=0.0)
 
@@ -175,6 +176,36 @@ class TestDominantSvd:
             dominant_svd(np.eye(3), 4)
         with pytest.raises(ValueError):
             dominant_svd(np.eye(3), 0)
+
+
+def fix_phases_per_column(u, v):
+    """The per-column reference: rotate by the conjugate phase of the first largest entry."""
+    u, v = u.copy(), v.copy()
+    for col in range(u.shape[1]):
+        pivot = u[int(np.argmax(np.abs(u[:, col]))), col]
+        if abs(pivot) == 0.0:
+            continue
+        rot = np.conj(pivot) / abs(pivot)
+        u[:, col] *= rot
+        v[:, col] *= rot
+    return u, v
+
+
+def test_fix_phases_on_a_stack_matches_the_per_column_loop():
+    rng = np.random.default_rng(3)
+    u = rng.standard_normal((4, 6, 3)) + 1j * rng.standard_normal((4, 6, 3))
+    v = rng.standard_normal((4, 9, 3)) + 1j * rng.standard_normal((4, 9, 3))
+    u[1, :, 2] = 0.0  # a zero column stays as it is
+    u[2, 4, 0] = u[2, 1, 0] = 3.0 * np.exp(0.7j)  # a tie: the first maximum is the pivot
+    u[2, 1, 0] *= -1
+    fixed_u, fixed_v = _fix_phases(u, v)
+    for k in range(len(u)):
+        ref_u, ref_v = fix_phases_per_column(u[k], v[k])
+        np.testing.assert_array_equal(fixed_u[k], ref_u)
+        np.testing.assert_array_equal(fixed_v[k], ref_v)
+    np.testing.assert_array_equal(fixed_u[1, :, 2], 0.0)
+    assert fixed_u[2, 1, 0] == pytest.approx(3.0) and fixed_u[2, 4, 0] == pytest.approx(-3.0)
+    np.testing.assert_array_equal(_fix_phases(u[0]), fix_phases_per_column(u[0], v[0])[0])
 
 
 def test_noise_variance_matches_link_budget():

@@ -182,6 +182,25 @@ class TestRunExperiment:
             run_experiment(load_config(ONE_TRIAL))
         assert_names_the_failed_run(str(info.value), seed_used)
 
+    def test_bad_beam_names_its_own_stream(self, monkeypatch):
+        real = harness.run_protocol
+
+        def nan_in_second_stream(chan, cfg, front, sigma2, rngs):
+            beams = real(chan, cfg, front, sigma2, rngs)
+            beams.d_ms[1, 0, 0] = np.nan
+            return beams
+
+        monkeypatch.setattr(harness, "run_protocol", nan_in_second_stream)
+        text = ONE_TRIAL.replace("snr_grid_db = 0,10", "snr_grid_db = 0,10,20")
+        with pytest.raises(RuntimeError) as info:
+            run_experiment(load_config(text))
+        seq = np.random.SeedSequence(7, spawn_key=(1, 0, 1, 0))  # pastd-fd, 10 dB, trial 0
+        message = str(info.value)
+        for part in ("trial 0", "variant pastd-fd", "snr_db 10.0", "d_ms is not finite"):
+            assert part in message
+        assert f"seed_used {int(seq.generate_state(1)[0])}:" in message
+        assert "snr_db 0.0" not in message
+
     def test_oracle_variant_is_exact(self):
         cfg = load_config("n_trials = 1\nsnr_grid_db = 10\nvariants = oracle\nn_bs = 16\nn_ms = 8\nn_rf_bs = 8\nn_rf_ms = 4\n")
         records = run_experiment(cfg)

@@ -293,3 +293,43 @@ class TestProbingContract:
         run_phase_a(chan, hy, front, self.SIGMA2, np.random.default_rng(self.SEED))
         assert streams[1].shape == (30, hy.n_rf_ms)
         np.testing.assert_allclose(streams[1], streams[0] @ front.d_ms_rf.conj(), rtol=1e-12)
+
+
+class TestStackedStreams:
+    """S generators with S powers run stacked, and each stream equals its own run."""
+
+    POWERS = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("mode", ["fd", "hy"])
+    @pytest.mark.parametrize("kind", ["pastd", "ooja"])
+    def test_stack_equals_one_run_per_stream(self, kind, mode, m):
+        rng = np.random.default_rng(12)
+        rays = tuple(
+            RayParams(
+                gain=(rng.standard_normal() + 1j * rng.standard_normal()) / math.sqrt(2),
+                attenuation_linear=1.0,
+                aod_bs_rad=float(rng.uniform(-1.4, 1.4)),
+                aoa_ms_rad=float(rng.uniform(-1.4, 1.4)),
+            )
+            for _ in range(3)
+        )
+        chan = assemble_channel(ArrayConfig(16), ArrayConfig(8), rays, gamma=1.0)
+        cfg = small_cfg(mode=mode, m=m, tracker=TrackerSpec(kind=kind, delta=0.3))
+        front = make_front_end(ArrayConfig(16), ArrayConfig(8), cfg) if mode == "hy" else None
+        seeds = range(20, 27)
+        stacked = run_protocol(
+            chan,
+            small_cfg(mode=mode, m=m, tracker=cfg.tracker, tx_power_scale=self.POWERS),
+            front,
+            0.3,
+            [np.random.default_rng(seed) for seed in seeds],
+        )
+        assert stacked.d_ms.shape == (7, 8, m) and stacked.d_bs.shape == (7, 16, m)
+        for i, (seed, rho) in enumerate(zip(seeds, self.POWERS)):
+            single_cfg = small_cfg(mode=mode, m=m, tracker=cfg.tracker, tx_power_scale=rho)
+            one = run_protocol(chan, single_cfg, front, 0.3, np.random.default_rng(seed))
+            np.testing.assert_allclose(stacked.d_ms[i], one.d_ms, rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(stacked.d_bs[i], one.d_bs, rtol=1e-12, atol=1e-14)
+            if mode == "hy":
+                np.testing.assert_allclose(stacked.d_bs_bb[i], one.d_bs_bb, rtol=1e-12, atol=1e-14)

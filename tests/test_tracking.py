@@ -222,6 +222,41 @@ class TestRunAndExtract:
         np.testing.assert_allclose(np.linalg.norm(extract_basis(t), axis=0), 1.0, atol=1e-12)
 
 
+class TestStackedStreams:
+    """A stack of S streams, one of them all zero, equals S runs of one stream."""
+
+    @staticmethod
+    def streams():
+        rng = np.random.default_rng(17)
+        cov, _ = synth_covariance(12, rng, eigvals=(4.0, 2.0), noise=0.1)
+        stack = np.stack([draw_samples(cov_sqrt(cov), 30, rng) for _ in range(4)])
+        stack[2] = 0.0  # the warm-start fallback and the OOJA guard must act on it alone
+        return stack
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda w0, lam0: PastdTracker(w=w0, lam=lam0, beta=0.9),
+            lambda w0, lam0: OojaTracker(w=w0, delta=0.3),
+        ],
+        ids=["pastd", "ooja"],
+    )
+    def test_stack_equals_one_run_per_stream(self, make):
+        stack = self.streams()
+        w0, lam0 = init_from_samples(stack[:, :10], 2)
+        stacked = tracker_run(make(w0, lam0), np.moveaxis(stack[:, 10:], 1, 0))
+        assert stacked.step_count == 20
+        for k, stream in enumerate(stack):
+            w1, lam1 = init_from_samples(stream[:10], 2)
+            np.testing.assert_array_equal(w0[k], w1)
+            np.testing.assert_array_equal(lam0[k], lam1)
+            one = tracker_run(make(w1, lam1), stream[10:])
+            np.testing.assert_allclose(stacked.w[k], one.w, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(extract_basis(stacked)[k], extract_basis(one), rtol=1e-12)
+        np.testing.assert_array_equal(stacked.w[2], np.eye(12)[:, :2])
+        assert not np.allclose(stacked.w[0], w0[0], atol=1e-3)  # the other streams moved
+
+
 def _time_steps(tracker, samples) -> float:
     best = math.inf
     for _ in range(5):
