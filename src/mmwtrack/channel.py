@@ -106,14 +106,21 @@ class ChannelRealization:
     los_phase_rad: float
 
 
+def steering_matrix(array: ArrayConfig, angles_rad) -> np.ndarray:
+    """Unit-norm ULA response vectors as columns, one per angle of the sequence angles_rad."""
+    for angle in angles_rad:
+        if not -math.pi / 2 <= angle <= math.pi / 2:
+            raise ValueError(f"angle_rad must lie in [-pi/2, pi/2], got {angle}")
+    n = array.n_elements
+    k = np.arange(n)[:, None]
+    # math.sin per angle: np.sin may round apart from it, and these bits reach the records
+    phase = np.array([-2.0 * math.pi * array.spacing * math.sin(a) for a in angles_rad])
+    return np.exp(1j * phase * k) / math.sqrt(n)
+
+
 def steering_vector(array: ArrayConfig, angle_rad: float) -> np.ndarray:
     """Unit-norm ULA response vector at the given azimuth angle."""
-    if not -math.pi / 2 <= angle_rad <= math.pi / 2:
-        raise ValueError(f"angle_rad must lie in [-pi/2, pi/2], got {angle_rad}")
-    n = array.n_elements
-    k = np.arange(n)
-    phase = -2.0 * math.pi * array.spacing * math.sin(angle_rad)
-    return np.exp(1j * phase * k) / math.sqrt(n)
+    return steering_matrix(array, (angle_rad,))[:, 0]
 
 
 def path_loss_linear(params: ChannelParams, distance_m: float) -> float:
@@ -177,8 +184,8 @@ def assemble_channel(
     """Build a realization from explicit ray parameters and LOS geometry."""
     h = np.zeros((ms.n_elements, bs.n_elements), dtype=complex)
     if rays:
-        a_ms = np.stack([steering_vector(ms, r.aoa_ms_rad) for r in rays], axis=1)
-        a_bs = np.stack([steering_vector(bs, r.aod_bs_rad) for r in rays], axis=1)
+        a_ms = steering_matrix(ms, [r.aoa_ms_rad for r in rays])
+        a_bs = steering_matrix(bs, [r.aod_bs_rad for r in rays])
         weights = np.array([r.gain * math.sqrt(r.attenuation_linear) for r in rays])
         h = gamma * (a_ms * weights) @ a_bs.conj().T
     if los_present:
@@ -227,8 +234,8 @@ def sample_channel(
         center_bs = rng.uniform(-math.pi / 2, math.pi / 2)
         center_ms = rng.uniform(-math.pi / 2, math.pi / 2)
         for _ in range(n_ray):
-            aod = float(np.clip(center_bs + rng.uniform(-spread, spread), -math.pi / 2, math.pi / 2))
-            aoa = float(np.clip(center_ms + rng.uniform(-spread, spread), -math.pi / 2, math.pi / 2))
+            aod = min(max(center_bs + rng.uniform(-spread, spread), -math.pi / 2), math.pi / 2)
+            aoa = min(max(center_ms + rng.uniform(-spread, spread), -math.pi / 2), math.pi / 2)
             gain = (rng.standard_normal() + 1j * rng.standard_normal()) / math.sqrt(2.0)
             rays.append(RayParams(gain=gain, attenuation_linear=attn, aod_bs_rad=aod, aoa_ms_rad=aoa))
 

@@ -15,14 +15,14 @@ from .protocol import EstimatedBeamformers
 class MetricConfig:
     psk_order: int = 16
     n_data_symbols: int = 10_000
-    p_t_bs: float = 1.0
+    p_t_bs: float | tuple = 1.0  # a tuple: one per stream of a stack
 
     def __post_init__(self):
         if self.psk_order < 2 or self.psk_order & (self.psk_order - 1):
             raise ValueError(f"psk_order must be a power of 2 >= 2, got {self.psk_order}")
         if self.n_data_symbols < 1:
             raise ValueError("n_data_symbols must be positive")
-        if self.p_t_bs <= 0:
+        if not np.all(np.asarray(self.p_t_bs) > 0):
             raise ValueError("p_t_bs must be > 0")
 
 
@@ -58,38 +58,44 @@ def spectral_efficiency(h, d_ms, d_bs, p_t_bs: float, sigma2_n: float) -> float:
     return max(float(logdet) / math.log(2.0), 0.0)
 
 
+def spectral_efficiency_bound(sigma, p_t_bs: float, sigma2_n: float) -> float:
+    """The oracle's rate sum_i log2(1 + P sigma_i^2 / sigma2) over the given singular values."""
+    return float(np.sum(np.log2(1.0 + p_t_bs * np.square(sigma) / sigma2_n)))
+
+
 def dpsk_ser_trial(
     chan: ChannelRealization,
     beams: EstimatedBeamformers,
     cfg: MetricConfig,
     sigma2_n: float,
     rng: np.random.Generator,
-) -> float:
+):
     """Symbol error rate of differential K-PSK through the beamformed link.
 
-    Single-stream only. The base station sends a reference symbol followed by
-    differentially encoded data on its estimated transmit beam; the mobile
-    combines with d_ms and detects each phase increment by rounding the angle of
-    the product of consecutive outputs. Per symbol, the combined noise
-    d_ms^H n / ||d_ms|| is one CN(0, sigma2) draw and the gain |d_ms^H H d_bs| / ||d_ms||.
+    Single-stream only. Per symbol, the combined noise d_ms^H n / ||d_ms|| is one
+    CN(0, sigma2) draw w_n and the gain is g = |d_ms^H H d_bs| / ||d_ms||. Rotating
+    each output by the conjugate of its symbol leaves circular noise as it is, so
+    the detector sees y_n = sqrt(P) g + w_n whatever was sent: only w_n is drawn,
+    real parts then imaginary parts, and symbol n is in error when
+    |arg(y_n conj(y_{n-1}))| > pi/K. S generators, each with its own cfg.p_t_bs and
+    optionally its own beams (a leading stream axis), score S streams at once.
     """
-    if beams.d_ms.shape[1] != 1 or beams.d_bs.shape[1] != 1:
+    if beams.d_ms.shape[-1] != 1 or beams.d_bs.shape[-1] != 1:
         raise ValueError("differential SER supports multiplexing order 1 only")
-    k_mod = cfg.psk_order
-    n_sym = cfg.n_data_symbols
-    d_ms = beams.d_ms[:, 0]
-    norm = np.linalg.norm(d_ms)
-    if norm == 0.0:
+    single = isinstance(rng, np.random.Generator)
+    rngs = [rng] if single else rng
+    d_ms = beams.d_ms[..., 0]
+    norm = np.linalg.norm(d_ms, axis=-1)
+    if np.any(norm == 0.0):
         raise ValueError("differential SER undefined for a zero combiner")
-    gain = abs(np.vdot(d_ms, chan.h @ beams.d_bs[:, 0])) / norm
+    gain = np.abs(np.vecdot(d_ms, beams.d_bs[..., 0] @ chan.h.T)) / norm
 
-    data = rng.integers(0, k_mod, size=n_sym)
-    # b(0) = 1, b(n) = b(n-1) * exp(j 2 pi k_n / K)
-    phases = np.concatenate(([0], np.cumsum(data))) % k_mod
-    b = np.exp(2j * math.pi * phases / k_mod)
-    noise = rng.standard_normal(n_sym + 1) + 1j * rng.standard_normal(n_sym + 1)
-    y = math.sqrt(cfg.p_t_bs) * gain * b + math.sqrt(sigma2_n / 2.0) * noise
-
-    increments = np.angle(y[1:] * np.conj(y[:-1])) * (k_mod / (2.0 * math.pi))
-    detected = np.round(increments).astype(int) % k_mod
-    return float(np.mean(detected != data))
+    w = np.empty((len(rngs), 2, cfg.n_data_symbols + 1))
+    for i, gen in enumerate(rngs):
+        gen.standard_normal(out=w[i])
+    w *= math.sqrt(sigma2_n / 2.0)
+    w[:, 0] += (np.sqrt(np.broadcast_to(cfg.p_t_bs, len(rngs))) * gain)[:, None]
+    y = w[:, 0] + 1j * w[:, 1]
+    z = y[:, 1:] * np.conj(y[:, :-1])
+    ser = np.mean(np.abs(np.angle(z)) > math.pi / cfg.psk_order, axis=-1)
+    return float(ser[0]) if single else ser

@@ -26,7 +26,8 @@ from .channel import (
     noise_variance,
     sample_channel,
 )
-from .evaluation import MetricConfig, dpsk_ser_trial, normalized_correlation, spectral_efficiency
+from .evaluation import MetricConfig, dpsk_ser_trial, normalized_correlation
+from .evaluation import spectral_efficiency, spectral_efficiency_bound
 from .protocol import (
     MODE_FD,
     MODE_HY,
@@ -277,9 +278,11 @@ def _check_beams(beams: EstimatedBeamformers) -> None:
             raise ValueError(f"{name} {fault}")
 
 
-def _check_metrics(eta_u: float, eta_v: float, se: float) -> None:
+def _check_metrics(eta_u: float, eta_v: float, se: float, se_oracle: float) -> None:
     if not (0.0 <= eta_u <= 1.0 and 0.0 <= eta_v <= 1.0 and math.isfinite(se)):
         raise ValueError(f"invalid metrics: eta_u {eta_u}, eta_v {eta_v}, se {se}")
+    if not se <= se_oracle + 1e-9:
+        raise ValueError(f"spectral efficiency {se} exceeds the oracle's {se_oracle}")
 
 
 def _trial_records(cfg: ExperimentConfig, trial_idx: int, digest: str) -> list:
@@ -295,6 +298,7 @@ def _trial_records(cfg: ExperimentConfig, trial_idx: int, digest: str) -> list:
     front = make_front_end(cfg.bs, cfg.ms, cfg.protocol)
     snrs = cfg.snr_grid_db
     rhos = [10.0 ** (x / 10.0) * cfg.ms.n_elements * sigma2 / h2 if h2 > 0 else 1.0 for x in snrs]
+    p_ts = tuple(rho * cfg.metrics.p_t_bs for rho in rhos)
     oracle = EstimatedBeamformers(d_ms=chan.u[:, :m], d_bs=chan.v[:, :m])
 
     records = []
@@ -305,42 +309,39 @@ def _trial_records(cfg: ExperimentConfig, trial_idx: int, digest: str) -> list:
         seeds = [int(seq.generate_state(1)[0]) for seq in seqs]
         rngs = [np.random.default_rng(seq) for seq in seqs]
         where = f"trial {trial_idx}, variant {variant.name}, snr_db {{}}, seed_used {{}}: {{}}"
+        stack = oracle
         try:  # a failure of the stacked run is not one stream's: it names them all
             if variant.protocol is not None:
                 pcfg = replace(variant.protocol, tx_power_scale=tuple(rhos))
                 stack = run_protocol(chan, pcfg, front, sigma2, rngs)
         except Exception as exc:
             raise RuntimeError(where.format(snrs, seeds, exc)) from exc
-        for si, (snr_db, rho, seed_used, rng) in enumerate(zip(snrs, rhos, seeds, rngs)):
+        metrics = []
+        for si, (snr_db, p_t, seed_used) in enumerate(zip(snrs, p_ts, seeds)):
             try:
                 beams = oracle
                 if variant.protocol is not None:
                     beams = EstimatedBeamformers(stack.d_ms[si], stack.d_bs[si])
                 _check_beams(beams)
-                p_t = rho * cfg.metrics.p_t_bs
                 se = spectral_efficiency(chan.h, beams.d_ms, beams.d_bs, p_t, sigma2)
                 eta_u = normalized_correlation(u1, beams.d_ms[:, 0])
                 eta_v = normalized_correlation(v1, beams.d_bs[:, 0])
-                _check_metrics(eta_u, eta_v, se)
-                ser = None
-                if m == 1:
-                    mcfg = replace(cfg.metrics, p_t_bs=p_t)
-                    ser = dpsk_ser_trial(chan, beams, mcfg, sigma2, rng)
-                records.append(
-                    TrialRecord(
-                        trial_index=trial_idx,
-                        variant=variant.name,
-                        snr_db=snr_db,
-                        eta_u=eta_u,
-                        eta_v=eta_v,
-                        spectral_eff_bits=se,
-                        ser=ser,
-                        seed_used=seed_used,
-                        config_digest=digest,
-                    )
-                )
+                bound = spectral_efficiency_bound(chan.sigma[:m], p_t, sigma2)
+                _check_metrics(eta_u, eta_v, se, bound)
+                metrics.append((eta_u, eta_v, se))
             except Exception as exc:
                 raise RuntimeError(where.format(snr_db, seed_used, exc)) from exc
+        sers = [None] * len(snrs)
+        try:  # scored as one stack too, once every stream's beams passed their checks
+            if m == 1:
+                mcfg = replace(cfg.metrics, p_t_bs=p_ts)
+                sers = dpsk_ser_trial(chan, stack, mcfg, sigma2, rngs).tolist()
+        except Exception as exc:
+            raise RuntimeError(where.format(snrs, seeds, exc)) from exc
+        records += [
+            TrialRecord(trial_idx, variant.name, snr_db, *metric, ser, seed_used, digest)
+            for snr_db, seed_used, metric, ser in zip(snrs, seeds, metrics, sers)
+        ]
     return records
 
 
@@ -375,9 +376,8 @@ def _stats_cells(values) -> list:
     if not values:
         return [""] * (2 + len(_QUANTILES))
     arr = np.asarray(values, dtype=float)
-    cells = [_fmt_float(arr.mean()), _fmt_float(np.median(arr))]
-    cells += [_fmt_float(np.quantile(arr, q)) for q in _QUANTILES]
-    return cells
+    stats = [arr.mean(), np.median(arr), *np.quantile(arr, _QUANTILES)]
+    return [_fmt_float(x) for x in stats]
 
 
 def emit_csv(records, destination) -> None:

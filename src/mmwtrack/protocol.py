@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ArrayConfig, ChannelRealization, steering_vector
+from .channel import ArrayConfig, ChannelRealization, steering_matrix
 from .tracking import OojaTracker, PastdTracker, extract_basis, init_from_samples, tracker_run
 
 MODE_FD = "fd"
@@ -97,7 +97,7 @@ def build_rf_grid(array: ArrayConfig, n_rf: int) -> np.ndarray:
     if not 1 <= n_rf <= array.n_elements:
         raise ValueError(f"n_rf must be in [1, {array.n_elements}], got {n_rf}")
     angles = -math.pi / 2 + math.pi * np.arange(n_rf) / n_rf
-    return np.stack([steering_vector(array, a) for a in angles], axis=1)
+    return steering_matrix(array, angles)
 
 
 def make_front_end(bs: ArrayConfig, ms: ArrayConfig, cfg: ProtocolConfig) -> HybridFrontEnd:

@@ -16,7 +16,7 @@ from mmwtrack import (
     sample_channel,
     steering_vector,
 )
-from mmwtrack.channel import _fix_phases
+from mmwtrack.channel import _fix_phases, steering_matrix
 
 UNIT_LOSS = LogDistancePathLoss(intercept_db=0.0, exponent=0.0)
 
@@ -52,6 +52,19 @@ class TestSteeringVector:
     def test_invalid_angle(self):
         with pytest.raises(ValueError):
             steering_vector(ArrayConfig(4), 2.0)
+        with pytest.raises(ValueError):
+            steering_matrix(ArrayConfig(4), (0.1, -2.0, 0.3))
+
+    @pytest.mark.parametrize("n", [1, 8, 30, 100])
+    def test_matrix_is_bitwise_the_per_angle_loop(self, n):
+        array = ArrayConfig(n, 0.5)
+        angles = [float(a) for a in np.random.default_rng(n).uniform(-math.pi / 2, math.pi / 2, 60)]
+        angles += [-math.pi / 2, 0.0, math.pi / 2]
+        k = np.arange(n)
+        loop = np.stack(
+            [np.exp(1j * (-2.0 * math.pi * 0.5 * math.sin(a)) * k) / math.sqrt(n) for a in angles], axis=1
+        )
+        assert steering_matrix(array, angles).tobytes() == loop.tobytes()
 
 
 class TestPathLoss:

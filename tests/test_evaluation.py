@@ -17,6 +17,7 @@ from mmwtrack import (
     spectral_efficiency,
     ChannelParams,
 )
+from mmwtrack.evaluation import spectral_efficiency_bound
 from util import rand_unitary, scalar_dpsk_ser
 
 
@@ -92,6 +93,15 @@ class TestSpectralEfficiency:
                 se_other = spectral_efficiency(chan.h, d_ms, d_bs, 1e8, 1.0)
                 assert se_other <= se_oracle + 1e-9
 
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_closed_form_bound_is_the_oracle_rate(self, m):
+        rng = np.random.default_rng(4)
+        params = ChannelParams(n_clusters=2, rays_per_cluster=(3, 3))
+        for p in (1e6, 1e8, 1e10):
+            chan = sample_channel(params, ArrayConfig(16), ArrayConfig(8), rng)
+            oracle = spectral_efficiency(chan.h, chan.u[:, :m], chan.v[:, :m], p, 1.0)
+            assert spectral_efficiency_bound(chan.sigma[:m], p, 1.0) == pytest.approx(oracle, abs=1e-12)
+
     def test_monotone_in_transmit_power(self):
         rng = np.random.default_rng(3)
         chan = sample_channel(ChannelParams(n_clusters=1, rays_per_cluster=(4,)),
@@ -165,6 +175,56 @@ class TestDpskSer:
         beams = EstimatedBeamformers(d_ms=chan.u[:, :2], d_bs=chan.v[:, :2])
         with pytest.raises(ValueError):
             dpsk_ser_trial(chan, beams, MetricConfig(), 0.1, np.random.default_rng(0))
+        stacked = EstimatedBeamformers(d_ms=np.stack([chan.u[:, :2]] * 3), d_bs=np.stack([chan.v[:, :2]] * 3))
+        rngs = [np.random.default_rng(i) for i in range(3)]
+        with pytest.raises(ValueError):
+            dpsk_ser_trial(chan, stacked, MetricConfig(p_t_bs=(1.0, 2.0, 3.0)), 0.1, rngs)
+
+    def test_zero_combiner_in_a_stack_rejected(self):
+        chan = rank1_channel()
+        d_ms = np.stack([chan.u[:, :1]] * 3)
+        d_ms[1] = 0.0
+        beams = EstimatedBeamformers(d_ms=d_ms, d_bs=np.stack([chan.v[:, :1]] * 3))
+        rngs = [np.random.default_rng(i) for i in range(3)]
+        with pytest.raises(ValueError):
+            dpsk_ser_trial(chan, beams, MetricConfig(p_t_bs=(1.0, 2.0, 3.0)), 0.1, rngs)
+
+    def test_stack_matches_one_call_per_stream(self):
+        chan = rank1_channel()
+        rng = np.random.default_rng(5)
+        powers = (0.05, 0.2, 1.0)
+        cfg = MetricConfig(n_data_symbols=3000, p_t_bs=powers)
+        tracked = EstimatedBeamformers(
+            d_ms=np.stack([rand_unitary(8, 1, rng) for _ in powers]),
+            d_bs=np.stack([rand_unitary(16, 1, rng) for _ in powers]),
+        )
+        oracle = EstimatedBeamformers(d_ms=chan.u[:, :1], d_bs=chan.v[:, :1])
+        for beams, per_stream in (
+            (tracked, [EstimatedBeamformers(tracked.d_ms[i], tracked.d_bs[i]) for i in range(3)]),
+            (oracle, [oracle] * 3),  # one pair of beams broadcast over the stack
+        ):
+            rngs = [np.random.default_rng(100 + i) for i in range(3)]
+            stacked = dpsk_ser_trial(chan, beams, cfg, 0.3, rngs)
+            singles = [
+                dpsk_ser_trial(chan, b, MetricConfig(n_data_symbols=3000, p_t_bs=p), 0.3,
+                               np.random.default_rng(100 + i))
+                for i, (b, p) in enumerate(zip(per_stream, powers))
+            ]
+            assert stacked.shape == (3,)
+            assert [float(x) for x in stacked] == singles
+            assert len(set(singles)) == 3
+
+    def test_one_stream_matches_brute_force_with_data(self):
+        # the library draws no data symbols; the brute force draws them and rounds angles
+        chan = rank1_channel()
+        sigma2, gamma_s, n_sym = 0.3, 100.0, 200_000
+        beams = EstimatedBeamformers(d_ms=chan.u[:, :1], d_bs=chan.v[:, :1])
+        cfg = MetricConfig(psk_order=16, n_data_symbols=n_sym, p_t_bs=gamma_s * sigma2 / chan.sigma[0] ** 2)
+        got = dpsk_ser_trial(chan, beams, cfg, sigma2, np.random.default_rng(6))
+        ref = scalar_dpsk_ser(gamma_s, 16, n_sym, np.random.default_rng(7))
+        se = math.sqrt((got * (1 - got) + ref * (1 - ref)) / n_sym)
+        assert 0.0 < ref < 1.0
+        assert abs(got - ref) <= 4.0 * se
 
 
 def test_metric_config_validation():
@@ -174,3 +234,5 @@ def test_metric_config_validation():
         MetricConfig(n_data_symbols=0)
     with pytest.raises(ValueError):
         MetricConfig(p_t_bs=0.0)
+    with pytest.raises(ValueError):
+        MetricConfig(p_t_bs=(1.0, 0.0, 2.0))

@@ -201,6 +201,24 @@ class TestRunExperiment:
         assert f"seed_used {int(seq.generate_state(1)[0])}:" in message
         assert "snr_db 0.0" not in message
 
+    def test_rate_above_the_oracle_names_its_own_stream(self, monkeypatch):
+        real = harness.spectral_efficiency
+        calls = []
+
+        def inflated(*args, **kwargs):
+            calls.append(None)
+            return real(*args, **kwargs) + (1.0 if len(calls) == 2 else 0.0)
+
+        monkeypatch.setattr(harness, "spectral_efficiency", inflated)
+        with pytest.raises(RuntimeError) as info:
+            run_experiment(load_config(ONE_TRIAL))
+        seq = np.random.SeedSequence(7, spawn_key=(1, 0, 1, 0))  # pastd-fd, 10 dB, trial 0
+        message = str(info.value)
+        for part in ("trial 0", "variant pastd-fd", "snr_db 10.0", "exceeds the oracle's"):
+            assert part in message
+        assert f"seed_used {int(seq.generate_state(1)[0])}:" in message
+        assert "snr_db 0.0" not in message
+
     def test_oracle_variant_is_exact(self):
         cfg = load_config("n_trials = 1\nsnr_grid_db = 10\nvariants = oracle\nn_bs = 16\nn_ms = 8\nn_rf_bs = 8\nn_rf_ms = 4\n")
         records = run_experiment(cfg)
@@ -282,6 +300,23 @@ class TestEmitCsv:
             assert float(cells["eta_u_median"]) == pytest.approx(np.median(values), rel=1e-15)
             assert float(cells["eta_u_q10"]) == pytest.approx(np.quantile(values, 0.1), rel=1e-15)
             assert float(cells["eta_u_q90"]) == pytest.approx(np.quantile(values, 0.9), rel=1e-15)
+
+    def test_aggregates_match_one_quantile_at_a_time(self, tmp_path):
+        records = run_experiment(load_config(SMALL))
+        emit_csv(records, tmp_path)
+        lines = (tmp_path / "aggregates.csv").read_text().splitlines()
+        groups = {}
+        for r in records:
+            groups.setdefault((r.variant, r.snr_db), []).append(r)
+        expected = []
+        for (variant, snr_db), group in groups.items():
+            cells = [variant, format(snr_db, ".17g"), str(len(group))]
+            for name in ("eta_u", "eta_v", "spectral_eff_bits", "ser"):
+                arr = np.array([getattr(r, name) for r in group], dtype=float)
+                stats = [arr.mean(), np.median(arr)] + [np.quantile(arr, q) for q in (0.1, 0.25, 0.75, 0.9)]
+                cells += [format(float(x), ".17g") for x in stats]
+            expected.append(",".join(cells))
+        assert lines[1:] == expected
 
     def test_empty_records_rejected(self, tmp_path):
         with pytest.raises(ValueError):
