@@ -9,9 +9,36 @@ import argparse
 import dataclasses
 import os
 import pathlib
+import platform
 import sys
+import time
+
+import numpy as np
 
 from .harness import ConfigError, config_digest, emit_csv, load_config, resolved_text, run_experiment
+
+
+THREAD_VARS = (
+    "OPENBLAS_NUM_THREADS",
+    "OMP_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "BLIS_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS",
+)
+
+
+def _manifest(cfg, workers: int, wall_s: float) -> str:
+    """What ran, as key = value lines: digest, seed, workers, versions, thread vars, wall time."""
+    fields = {
+        "config_digest": config_digest(cfg),
+        "master_seed": cfg.master_seed,
+        "workers": workers,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        **{var: os.environ.get(var, "unset") for var in THREAD_VARS},
+        "wall_s": format(wall_s, ".3f"),
+    }
+    return "".join(f"{key} = {value}\n" for key, value in fields.items())
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -44,10 +71,17 @@ def main(argv=None) -> int:
         return 0
 
     try:
-        records = run_experiment(cfg, workers=max(1, args.threads))
+        workers = max(1, args.threads)
+        start = time.perf_counter()
+        records = run_experiment(cfg, workers=workers)
         emit_csv(records, args.out)
-        with open(os.path.join(args.out, "config_resolved.txt"), "w", encoding="utf-8") as fh:
-            fh.write(resolved_text(cfg))
+        wall_s = time.perf_counter() - start
+        for name, text in (
+            ("config_resolved.txt", resolved_text(cfg)),
+            ("manifest.txt", _manifest(cfg, workers, wall_s)),
+        ):
+            with open(os.path.join(args.out, name), "w", encoding="utf-8") as fh:
+                fh.write(text)
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"runtime error: {exc}", file=sys.stderr)
         return 1

@@ -63,12 +63,20 @@ def spectral_efficiency_bound(sigma, p_t_bs: float, sigma2_n: float) -> float:
     return float(np.sum(np.log2(1.0 + p_t_bs * np.square(sigma) / sigma2_n)))
 
 
+def dpsk_noise(rngs, n_data_symbols: int) -> np.ndarray:
+    """Each generator's unit-variance DPSK noise: n + 1 real parts, then n + 1 imaginary parts."""
+    w = np.empty((len(rngs), 2, n_data_symbols + 1))
+    for i, gen in enumerate(rngs):
+        gen.standard_normal(out=w[i])
+    return w
+
+
 def dpsk_ser_trial(
     chan: ChannelRealization,
     beams: EstimatedBeamformers,
     cfg: MetricConfig,
     sigma2_n: float,
-    rng: np.random.Generator,
+    rng,
 ):
     """Symbol error rate of differential K-PSK through the beamformed link.
 
@@ -78,24 +86,26 @@ def dpsk_ser_trial(
     the detector sees y_n = sqrt(P) g + w_n whatever was sent: only w_n is drawn,
     real parts then imaginary parts, and symbol n is in error when
     |arg(y_n conj(y_{n-1}))| > pi/K. S generators, each with its own cfg.p_t_bs and
-    optionally its own beams (a leading stream axis), score S streams at once.
+    optionally its own beams (a leading stream axis), score S streams at once; so
+    does an (S, 2, n + 1) array of drawn unit-variance noise, which is only read.
     """
     if beams.d_ms.shape[-1] != 1 or beams.d_bs.shape[-1] != 1:
         raise ValueError("differential SER supports multiplexing order 1 only")
     single = isinstance(rng, np.random.Generator)
-    rngs = [rng] if single else rng
     d_ms = beams.d_ms[..., 0]
     norm = np.linalg.norm(d_ms, axis=-1)
     if np.any(norm == 0.0):
         raise ValueError("differential SER undefined for a zero combiner")
     gain = np.abs(np.vecdot(d_ms, beams.d_bs[..., 0] @ chan.h.T)) / norm
 
-    w = np.empty((len(rngs), 2, cfg.n_data_symbols + 1))
-    for i, gen in enumerate(rngs):
-        gen.standard_normal(out=w[i])
-    w *= math.sqrt(sigma2_n / 2.0)
-    w[:, 0] += (np.sqrt(np.broadcast_to(cfg.p_t_bs, len(rngs))) * gain)[:, None]
-    y = w[:, 0] + 1j * w[:, 1]
+    w = rng
+    if not isinstance(rng, np.ndarray):
+        w = dpsk_noise([rng] if single else rng, cfg.n_data_symbols)
+    if w.shape[-1] != cfg.n_data_symbols + 1:
+        raise ValueError(f"noise has {w.shape[-1]} samples, expected {cfg.n_data_symbols + 1}")
+    scale = math.sqrt(sigma2_n / 2.0)
+    amp = np.sqrt(np.broadcast_to(cfg.p_t_bs, len(w))) * gain
+    y = (w[:, 0] * scale + amp[:, None]) + 1j * (w[:, 1] * scale)
     z = y[:, 1:] * np.conj(y[:, :-1])
     ser = np.mean(np.abs(np.angle(z)) > math.pi / cfg.psk_order, axis=-1)
     return float(ser[0]) if single else ser

@@ -1,11 +1,11 @@
 """Experiment configuration, seeded Monte Carlo execution and CSV output.
 
 Configs are flat key = value text documents with units spelled out in the key
-names. Per-trial randomness is derived from the master seed and the trial /
-variant / SNR indices through numpy SeedSequence spawn keys, so parallel and
-serial runs produce identical results. Channel realizations are keyed on the
-trial index alone and therefore shared across variants and SNR points
-(paired comparison).
+names. Per-trial randomness is derived from the master seed and the trial and
+SNR indices through numpy SeedSequence spawn keys, so parallel and serial runs
+produce identical results. Channel realizations are keyed on the trial index
+alone, and probes and noise on (SNR index, trial), so every variant of a trial
+sees the same channel, probes and noise (paired comparison).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .channel import (
     noise_variance,
     sample_channel,
 )
-from .evaluation import MetricConfig, dpsk_ser_trial, normalized_correlation
+from .evaluation import MetricConfig, dpsk_noise, dpsk_ser_trial, normalized_correlation
 from .evaluation import spectral_efficiency, spectral_efficiency_bound
 from .protocol import (
     MODE_FD,
@@ -36,6 +36,7 @@ from .protocol import (
     EstimatedBeamformers,
     ProtocolConfig,
     TrackerSpec,
+    draw_probes,
     make_front_end,
     run_protocol,
 )
@@ -301,19 +302,27 @@ def _trial_records(cfg: ExperimentConfig, trial_idx: int, digest: str) -> list:
     p_ts = tuple(rho * cfg.metrics.p_t_bs for rho in rhos)
     oracle = EstimatedBeamformers(d_ms=chan.u[:, :m], d_bs=chan.v[:, :m])
 
+    # one stream per SNR point, shared by every variant (common random numbers):
+    # each generator draws phase (a)'s block, phase (b)'s block, then the DPSK noise
+    seqs = [np.random.SeedSequence(cfg.master_seed, spawn_key=(1, si, trial_idx))
+            for si in range(len(snrs))]
+    seeds = [int(seq.generate_state(1)[0]) for seq in seqs]
+    rngs = [np.random.default_rng(seq) for seq in seqs]
+    probes = None
+    if any(variant.protocol is not None for variant in cfg.variants):
+        n_bs, n_ms = cfg.bs.n_elements, cfg.ms.n_elements
+        probes = (draw_probes(rngs, cfg.protocol.p_bs, n_bs, n_ms),
+                  draw_probes(rngs, cfg.protocol.p_ms, m, n_bs))
+    noise = dpsk_noise(rngs, cfg.metrics.n_data_symbols) if m == 1 else None
+
     records = []
-    for vi, variant in enumerate(cfg.variants):
-        # one stream per SNR point, run stacked: the same draws as one run per stream
-        seqs = [np.random.SeedSequence(cfg.master_seed, spawn_key=(1, vi, si, trial_idx))
-                for si in range(len(snrs))]
-        seeds = [int(seq.generate_state(1)[0]) for seq in seqs]
-        rngs = [np.random.default_rng(seq) for seq in seqs]
+    for variant in cfg.variants:
         where = f"trial {trial_idx}, variant {variant.name}, snr_db {{}}, seed_used {{}}: {{}}"
         stack = oracle
         try:  # a failure of the stacked run is not one stream's: it names them all
             if variant.protocol is not None:
                 pcfg = replace(variant.protocol, tx_power_scale=tuple(rhos))
-                stack = run_protocol(chan, pcfg, front, sigma2, rngs)
+                stack = run_protocol(chan, pcfg, front, sigma2, probes)
         except Exception as exc:
             raise RuntimeError(where.format(snrs, seeds, exc)) from exc
         metrics = []
@@ -335,7 +344,7 @@ def _trial_records(cfg: ExperimentConfig, trial_idx: int, digest: str) -> list:
         try:  # scored as one stack too, once every stream's beams passed their checks
             if m == 1:
                 mcfg = replace(cfg.metrics, p_t_bs=p_ts)
-                sers = dpsk_ser_trial(chan, stack, mcfg, sigma2, rngs).tolist()
+                sers = dpsk_ser_trial(chan, stack, mcfg, sigma2, noise).tolist()
         except Exception as exc:
             raise RuntimeError(where.format(snrs, seeds, exc)) from exc
         records += [

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -133,35 +134,46 @@ def _lift_and_normalize(d_rf, d_bb):
     return full / norms, None if d_rf is None else d_bb / norms
 
 
-def _probe_and_track(link, d_rf, n_probes, cfg: ProtocolConfig, sigma2_n, rng) -> np.ndarray:
-    """Probe link (n_rx x n_tx) with n_probes antipodal vectors; track the received rows.
+class ProbeBlock(NamedTuple):
+    """One phase's draws for S streams: +-1 signs (S, P, n_tx), unit-variance noise (S, P, n_rx)."""
 
-    Per stream, draws the +-1 block S (n_probes x n_tx), then the real and the
-    imaginary noise blocks N, forms R = sqrt(rho) S link^T + sqrt(sigma2/2) N,
-    combines it as R conj(d_rf) unless d_rf is None, warm-starts on cfg.warmup
-    rows, tracks the rest. A sequence of S generators, each with its own
-    cfg.tx_power_scale and optionally its own link (S, n_rx, n_tx), runs S
-    streams stacked; one Generator is that stack at S = 1 without its axis.
-    """
-    single = isinstance(rng, np.random.Generator)
-    rngs = [rng] if single else rng
-    n_rx, n_tx = link.shape[-2:]
-    s = np.empty((len(rngs), n_probes, n_tx))
+    signs: np.ndarray
+    re: np.ndarray
+    im: np.ndarray
+
+
+def draw_probes(rngs, n_probes: int, n_tx: int, n_rx: int) -> ProbeBlock:
+    """Each generator's block for one phase: the +-1 signs, then the real and imaginary noise."""
+    signs = np.empty((len(rngs), n_probes, n_tx))
     re = np.empty((len(rngs), n_probes, n_rx))
     im = np.empty_like(re)
     for i, gen in enumerate(rngs):  # drawn in place: stacking drawn blocks costs as much again
-        s[i] = gen.integers(0, 2, size=(n_probes, n_tx))
+        signs[i] = gen.integers(0, 2, size=(n_probes, n_tx))
         gen.standard_normal(out=re[i])
         gen.standard_normal(out=im[i])
+    signs *= 2.0
+    signs -= 1.0
+    return ProbeBlock(signs, re, im)
+
+
+def _probe_and_track(link, d_rf, block: ProbeBlock, cfg: ProtocolConfig, sigma2_n) -> np.ndarray:
+    """Probe link (n_rx x n_tx) with a drawn block; track the received rows.
+
+    Forms R = sqrt(rho) S link^T + sqrt(sigma2/2) N from the block's signs S and
+    noise N, combines it as R conj(d_rf) unless d_rf is None, warm-starts on
+    cfg.warmup rows and tracks the rest. A block with a leading axis of S
+    streams, each with its own cfg.tx_power_scale and optionally its own link
+    (S, n_rx, n_tx), runs S streams stacked; a block without that axis is one
+    stream. The block is only read.
+    """
     # S is real, so S link^T is one real product on the interleaved real and
     # imaginary parts of link^T, and the noise adds to those parts in place
     link_t = np.ascontiguousarray(np.swapaxes(link, -1, -2)).view(np.float64)
-    parts = np.matmul(s * 2.0 - 1.0, link_t)
-    parts *= np.sqrt(np.broadcast_to(cfg.tx_power_scale, len(rngs)))[:, None, None]
-    parts[..., 0::2] += math.sqrt(sigma2_n / 2.0) * re
-    parts[..., 1::2] += math.sqrt(sigma2_n / 2.0) * im
+    parts = np.matmul(block.signs, link_t)
+    parts *= np.sqrt(np.asarray(cfg.tx_power_scale, dtype=float))[..., None, None]
+    parts[..., 0::2] += math.sqrt(sigma2_n / 2.0) * block.re
+    parts[..., 1::2] += math.sqrt(sigma2_n / 2.0) * block.im
     r = parts.view(complex) if d_rf is None else parts.view(complex) @ d_rf.conj()
-    r = r[0] if single else r
     lead, n = r.shape[:-2], r.shape[-1]
     if cfg.warmup >= 1:
         w0, lam0 = init_from_samples(r[..., : cfg.warmup, :], cfg.m)
@@ -175,6 +187,24 @@ def _probe_and_track(link, d_rf, n_probes, cfg: ProtocolConfig, sigma2_n, rng) -
         tracker = OojaTracker(w=w0, delta=spec.delta, sign=spec.sign)
     tracker_run(tracker, np.moveaxis(r[..., cfg.warmup :, :], -2, 0))
     return extract_basis(tracker)
+
+
+def _phase(link, d_rf, n_probes, cfg: ProtocolConfig, sigma2_n, rng) -> np.ndarray:
+    """Probe and track one phase on a drawn block, or on one drawn now from rng.
+
+    A sequence of S generators draws a stacked block; one Generator is that
+    stack at S = 1 without its axis.
+    """
+    if isinstance(rng, ProbeBlock):
+        if rng.signs.shape[-2] != n_probes:
+            raise ValueError(f"probe block has {rng.signs.shape[-2]} probes, expected {n_probes}")
+        return _probe_and_track(link, d_rf, rng, cfg, sigma2_n)
+    single = isinstance(rng, np.random.Generator)
+    n_rx, n_tx = link.shape[-2:]
+    block = draw_probes([rng] if single else rng, n_probes, n_tx, n_rx)
+    if single:
+        block = ProbeBlock(*(a[0] for a in block))
+    return _probe_and_track(link, d_rf, block, cfg, sigma2_n)
 
 
 def _combiners(cfg: ProtocolConfig, front: HybridFrontEnd | None):
@@ -191,14 +221,16 @@ def run_phase_a(
     cfg: ProtocolConfig,
     front: HybridFrontEnd | None,
     sigma2_n: float,
-    rng: np.random.Generator,
+    rng,
 ) -> np.ndarray:
     """Downlink probing; returns the tracked left-subspace basis.
+
+    rng is one Generator, a sequence of S of them or a drawn ProbeBlock.
 
     Full antenna dimension in FD mode, RF-chain dimension in hybrid mode.
     """
     d_ms_rf, _ = _combiners(cfg, front)
-    return _probe_and_track(chan.h, d_ms_rf, cfg.p_bs, cfg, sigma2_n, rng)
+    return _phase(chan.h, d_ms_rf, cfg.p_bs, cfg, sigma2_n, rng)
 
 
 def run_phase_b(
@@ -207,14 +239,14 @@ def run_phase_b(
     cfg: ProtocolConfig,
     front: HybridFrontEnd | None,
     sigma2_n: float,
-    rng: np.random.Generator,
+    rng,
 ) -> np.ndarray:
     """Uplink probing through the estimated precoder (an (S, n_ms, m) stack for S streams)."""
     n_ms, n_bs = chan.h.shape
     if d_ms.shape[-2:] != (n_ms, cfg.m):
         raise ValueError(f"d_ms has shape {d_ms.shape}, expected ({n_ms}, {cfg.m})")
     _, d_bs_rf = _combiners(cfg, front)
-    return _probe_and_track(chan.h.conj().T @ d_ms, d_bs_rf, cfg.p_ms, cfg, sigma2_n, rng)
+    return _phase(chan.h.conj().T @ d_ms, d_bs_rf, cfg.p_ms, cfg, sigma2_n, rng)
 
 
 def run_protocol(
@@ -222,14 +254,19 @@ def run_protocol(
     cfg: ProtocolConfig,
     front: HybridFrontEnd | None,
     sigma2_n: float,
-    rng: np.random.Generator,
+    rng,
 ) -> EstimatedBeamformers:
     """Run both phases and return unit-column beamformers; hybrid mode needs a front end.
 
-    With a sequence of S generators and S values of cfg.tx_power_scale, the S
-    streams run stacked and every beamformer gains a leading stream axis.
+    rng is one Generator, a sequence of S of them, or a pair of drawn
+    ProbeBlocks (phase a, phase b) with S streams. Generators draw phase (a)'s
+    block, then phase (b)'s. With S streams and S values of
+    cfg.tx_power_scale, the streams run stacked and every beamformer gains a
+    leading stream axis.
     """
+    drawn = not isinstance(rng, np.random.Generator) and isinstance(rng[0], ProbeBlock)
+    rng_a, rng_b = rng if drawn else (rng, rng)
     d_ms_rf, d_bs_rf = _combiners(cfg, front)
-    d_ms, d_ms_bb = _lift_and_normalize(d_ms_rf, run_phase_a(chan, cfg, front, sigma2_n, rng))
-    d_bs, d_bs_bb = _lift_and_normalize(d_bs_rf, run_phase_b(chan, d_ms, cfg, front, sigma2_n, rng))
+    d_ms, d_ms_bb = _lift_and_normalize(d_ms_rf, run_phase_a(chan, cfg, front, sigma2_n, rng_a))
+    d_bs, d_bs_bb = _lift_and_normalize(d_bs_rf, run_phase_b(chan, d_ms, cfg, front, sigma2_n, rng_b))
     return EstimatedBeamformers(d_ms=d_ms, d_bs=d_bs, d_ms_bb=d_ms_bb, d_bs_bb=d_bs_bb)

@@ -17,7 +17,7 @@ from mmwtrack import (
     spectral_efficiency,
     ChannelParams,
 )
-from mmwtrack.evaluation import spectral_efficiency_bound
+from mmwtrack.evaluation import dpsk_noise, spectral_efficiency_bound
 from util import rand_unitary, scalar_dpsk_ser
 
 
@@ -213,6 +213,24 @@ class TestDpskSer:
             assert stacked.shape == (3,)
             assert [float(x) for x in stacked] == singles
             assert len(set(singles)) == 3
+
+    def test_drawn_noise_equals_the_generators_and_is_only_read(self):
+        chan = rank1_channel()
+        rng = np.random.default_rng(8)
+        powers = (0.05, 0.2, 1.0)
+        cfg = MetricConfig(n_data_symbols=3000, p_t_bs=powers)
+        beams = EstimatedBeamformers(
+            d_ms=np.stack([rand_unitary(8, 1, rng) for _ in powers]),
+            d_bs=np.stack([rand_unitary(16, 1, rng) for _ in powers]),
+        )
+        noise = dpsk_noise([np.random.default_rng(200 + i) for i in range(3)], 3000)
+        before = noise.copy()
+        drawn = dpsk_ser_trial(chan, beams, cfg, 0.3, noise)
+        rngs = [np.random.default_rng(200 + i) for i in range(3)]
+        assert drawn.tobytes() == dpsk_ser_trial(chan, beams, cfg, 0.3, rngs).tobytes()
+        assert noise.shape == (3, 2, 3001) and np.array_equal(noise, before)
+        with pytest.raises(ValueError, match="expected 2001"):
+            dpsk_ser_trial(chan, beams, MetricConfig(n_data_symbols=2000, p_t_bs=powers), 0.3, noise)
 
     def test_one_stream_matches_brute_force_with_data(self):
         # the library draws no data symbols; the brute force draws them and rounds angles

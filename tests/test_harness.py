@@ -1,4 +1,5 @@
 import math
+import platform
 from pathlib import Path
 
 import numpy as np
@@ -10,10 +11,12 @@ from mmwtrack import (
     config_digest,
     emit_csv,
     load_config,
+    make_front_end,
     resolved_text,
     run_experiment,
 )
 from mmwtrack.cli import main as cli_main
+from util import capture_streams
 
 SMALL = """
 n_bs = 16
@@ -153,7 +156,7 @@ ONE_TRIAL = SMALL.replace("n_trials = 3", "n_trials = 1")
 def fail_third_evaluation(monkeypatch):
     """Make spectral_efficiency raise on its third call: trial 0, ooja-hy, 0 dB.
 
-    Returns the seed_used of that (variant, SNR, trial) stream.
+    Returns the seed_used of that (SNR, trial) stream, which every variant shares.
     """
     real = harness.spectral_efficiency
     calls = []
@@ -165,7 +168,7 @@ def fail_third_evaluation(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(harness, "spectral_efficiency", flaky)
-    seq = np.random.SeedSequence(7, spawn_key=(1, 1, 0, 0))
+    seq = np.random.SeedSequence(7, spawn_key=(1, 0, 0))
     return int(seq.generate_state(1)[0])
 
 
@@ -194,7 +197,7 @@ class TestRunExperiment:
         text = ONE_TRIAL.replace("snr_grid_db = 0,10", "snr_grid_db = 0,10,20")
         with pytest.raises(RuntimeError) as info:
             run_experiment(load_config(text))
-        seq = np.random.SeedSequence(7, spawn_key=(1, 0, 1, 0))  # pastd-fd, 10 dB, trial 0
+        seq = np.random.SeedSequence(7, spawn_key=(1, 1, 0))  # 10 dB, trial 0
         message = str(info.value)
         for part in ("trial 0", "variant pastd-fd", "snr_db 10.0", "d_ms is not finite"):
             assert part in message
@@ -212,7 +215,7 @@ class TestRunExperiment:
         monkeypatch.setattr(harness, "spectral_efficiency", inflated)
         with pytest.raises(RuntimeError) as info:
             run_experiment(load_config(ONE_TRIAL))
-        seq = np.random.SeedSequence(7, spawn_key=(1, 0, 1, 0))  # pastd-fd, 10 dB, trial 0
+        seq = np.random.SeedSequence(7, spawn_key=(1, 1, 0))  # 10 dB, trial 0
         message = str(info.value)
         for part in ("trial 0", "variant pastd-fd", "snr_db 10.0", "exceeds the oracle's"):
             assert part in message
@@ -264,6 +267,27 @@ class TestRunExperiment:
         for r in records:
             if r.variant != "oracle":
                 assert r.spectral_eff_bits <= oracle[(r.trial_index, r.snr_db)].spectral_eff_bits + 1e-9
+
+
+class TestSharedDraws:
+    """Every variant of a trial probes with the same draws (common random numbers)."""
+
+    def test_variants_see_the_same_phase_a_stream(self, monkeypatch):
+        text = ONE_TRIAL.replace("variants = pastd-fd,ooja-hy,oracle",
+                                 "variants = pastd-fd,ooja-fd,pastd-hy,oracle")
+        cfg = load_config(text)
+        streams = capture_streams(monkeypatch)
+        records = run_experiment(cfg)
+        # phase (a), then phase (b), per tracker variant in config order
+        pastd_fd, ooja_fd, pastd_hy = streams[0], streams[2], streams[4]
+        assert len(streams) == 6 and pastd_fd.shape == (2, 30, 8)
+        assert pastd_fd.tobytes() == ooja_fd.tobytes()
+        d_ms_rf = make_front_end(cfg.bs, cfg.ms, cfg.protocol).d_ms_rf
+        np.testing.assert_allclose(pastd_hy, pastd_fd @ d_ms_rf.conj(), rtol=1e-12)
+        seeds = {}
+        for r in records:
+            seeds.setdefault(r.snr_db, set()).add(r.seed_used)
+        assert all(len(used) == 1 for used in seeds.values()) and len(seeds) == 2
 
 
 class TestEmitCsv:
@@ -372,6 +396,26 @@ class TestCli:
         assert cli_main(["simulate", "--config", str(path), "--out", str(out)]) == 0
         for name in ("records.csv", "aggregates.csv", "config_resolved.txt"):
             assert (out / name).exists()
+
+    def test_simulate_writes_a_manifest(self, tmp_path, monkeypatch):
+        path = tmp_path / "cfg.txt"
+        path.write_text(SMALL.replace("n_trials = 3", "n_trials = 2"))
+        out = tmp_path / "out"
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        argv = ["simulate", "--config", str(path), "--out", str(out), "--threads", "2", "--seed", "99"]
+        assert cli_main(argv) == 0
+        lines = (out / "manifest.txt").read_text().splitlines()
+        fields = dict(line.split(" = ", 1) for line in lines)
+        cfg = load_config(path.read_text().replace("master_seed = 7", "master_seed = 99"))
+        assert fields["config_digest"] == config_digest(cfg)
+        assert fields["master_seed"] == "99" and fields["workers"] == "2"
+        assert fields["python"] == platform.python_version() and fields["numpy"] == np.__version__
+        assert fields["OMP_NUM_THREADS"] == "3" and fields["OPENBLAS_NUM_THREADS"] == "unset"
+        assert float(fields["wall_s"]) > 0.0
+        # the manifest sits beside the records, which it leaves as a direct run writes them
+        emit_csv(run_experiment(cfg), tmp_path / "direct")
+        assert (out / "records.csv").read_bytes() == (tmp_path / "direct" / "records.csv").read_bytes()
 
     def test_seed_override_changes_digest_and_records(self, tmp_path):
         path = tmp_path / "cfg.txt"

@@ -20,7 +20,7 @@ from mmwtrack import (
     run_protocol,
     steering_vector,
 )
-from util import rand_unitary
+from util import capture_streams, rand_unitary
 
 
 def rank1_channel(n_ms=8, n_bs=16, aoa=0.3, aod=-0.5, gain=1.0 + 0.5j):
@@ -247,24 +247,6 @@ class TestProbingContract:
 
     RHO, SIGMA2, SEED = 2.0, 0.1, 11
 
-    @staticmethod
-    def capture_streams(monkeypatch):
-        """Record each phase's warm-start rows followed by its tracked rows."""
-        streams = []
-        init, run = protocol.init_from_samples, protocol.tracker_run
-
-        def init_spy(samples, m):
-            streams.append(np.array(samples))
-            return init(samples, m)
-
-        def run_spy(tracker, stream):
-            streams[-1] = np.concatenate([streams[-1], np.array(stream)])
-            return run(tracker, stream)
-
-        monkeypatch.setattr(protocol, "init_from_samples", init_spy)
-        monkeypatch.setattr(protocol, "tracker_run", run_spy)
-        return streams
-
     def expected_stream(self, link, n_probes, rng):
         s = rng.integers(0, 2, size=(n_probes, link.shape[1])) * 2.0 - 1.0
         re = rng.standard_normal((n_probes, link.shape[0]))
@@ -275,7 +257,7 @@ class TestProbingContract:
         chan = rank1_channel()
         cfg = small_cfg(tx_power_scale=self.RHO, p_ms=25)
         d_ms = chan.u[:, :1]
-        streams = self.capture_streams(monkeypatch)
+        streams = capture_streams(monkeypatch)
         run_phase_a(chan, cfg, None, self.SIGMA2, np.random.default_rng(self.SEED))
         run_phase_b(chan, d_ms, cfg, None, self.SIGMA2, np.random.default_rng(self.SEED))
         phase_a = self.expected_stream(chan.h, 30, np.random.default_rng(self.SEED))
@@ -288,7 +270,7 @@ class TestProbingContract:
         fd = small_cfg(tx_power_scale=self.RHO)
         hy = small_cfg(tx_power_scale=self.RHO, mode="hy")
         front = make_front_end(ArrayConfig(16), ArrayConfig(8), hy)
-        streams = self.capture_streams(monkeypatch)
+        streams = capture_streams(monkeypatch)
         run_phase_a(chan, fd, None, self.SIGMA2, np.random.default_rng(self.SEED))
         run_phase_a(chan, hy, front, self.SIGMA2, np.random.default_rng(self.SEED))
         assert streams[1].shape == (30, hy.n_rf_ms)
@@ -300,10 +282,8 @@ class TestStackedStreams:
 
     POWERS = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
 
-    @pytest.mark.parametrize("m", [1, 2])
-    @pytest.mark.parametrize("mode", ["fd", "hy"])
-    @pytest.mark.parametrize("kind", ["pastd", "ooja"])
-    def test_stack_equals_one_run_per_stream(self, kind, mode, m):
+    @staticmethod
+    def three_ray_channel():
         rng = np.random.default_rng(12)
         rays = tuple(
             RayParams(
@@ -314,7 +294,13 @@ class TestStackedStreams:
             )
             for _ in range(3)
         )
-        chan = assemble_channel(ArrayConfig(16), ArrayConfig(8), rays, gamma=1.0)
+        return assemble_channel(ArrayConfig(16), ArrayConfig(8), rays, gamma=1.0)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("mode", ["fd", "hy"])
+    @pytest.mark.parametrize("kind", ["pastd", "ooja"])
+    def test_stack_equals_one_run_per_stream(self, kind, mode, m):
+        chan = self.three_ray_channel()
         cfg = small_cfg(mode=mode, m=m, tracker=TrackerSpec(kind=kind, delta=0.3))
         front = make_front_end(ArrayConfig(16), ArrayConfig(8), cfg) if mode == "hy" else None
         seeds = range(20, 27)
@@ -333,3 +319,30 @@ class TestStackedStreams:
             np.testing.assert_allclose(stacked.d_bs[i], one.d_bs, rtol=1e-12, atol=1e-14)
             if mode == "hy":
                 np.testing.assert_allclose(stacked.d_bs_bb[i], one.d_bs_bb, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("mode", ["fd", "hy"])
+    @pytest.mark.parametrize("kind", ["pastd", "ooja"])
+    def test_drawn_blocks_equal_the_generators(self, kind, mode, m):
+        # blocks drawn from fresh copies of the generators, phase (a) then phase (b)
+        chan = self.three_ray_channel()
+        cfg = small_cfg(mode=mode, m=m, tracker=TrackerSpec(kind=kind, delta=0.3),
+                        p_ms=25, tx_power_scale=self.POWERS)
+        front = make_front_end(ArrayConfig(16), ArrayConfig(8), cfg) if mode == "hy" else None
+        seeds = range(40, 47)
+        drawn = [np.random.default_rng(seed) for seed in seeds]
+        blocks = (protocol.draw_probes(drawn, 30, 16, 8), protocol.draw_probes(drawn, 25, m, 16))
+        before = [a.copy() for block in blocks for a in block]
+        from_blocks = run_protocol(chan, cfg, front, 0.3, blocks)
+        from_rngs = run_protocol(chan, cfg, front, 0.3, [np.random.default_rng(s) for s in seeds])
+        for name in ("d_ms", "d_bs", "d_ms_bb", "d_bs_bb"):
+            a, b = getattr(from_blocks, name), getattr(from_rngs, name)
+            assert (a is None and b is None) or a.tobytes() == b.tobytes()
+        after = [a for block in blocks for a in block]
+        assert all(np.array_equal(x, y) for x, y in zip(before, after))  # the blocks are only read
+
+    def test_block_with_the_wrong_probe_count_rejected(self):
+        chan = rank1_channel()
+        block = protocol.draw_probes([np.random.default_rng(0)], 20, 16, 8)
+        with pytest.raises(ValueError, match="20 probes, expected 30"):
+            run_phase_a(chan, small_cfg(), None, 0.1, block)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 
+from mmwtrack import protocol
+
 
 def rand_unitary(n: int, m: int, rng) -> np.ndarray:
     """Random n x m matrix with orthonormal columns (Haar-ish via QR)."""
@@ -45,6 +47,27 @@ def scalar_dpsk_ser(gamma_s: float, k_mod: int, n_sym: int, rng) -> float:
     prod = y[1:] * np.conj(y[:-1])
     detected = np.round(np.angle(prod) * k_mod / (2.0 * math.pi)).astype(int) % k_mod
     return float(np.mean(detected != data))
+
+
+def capture_streams(monkeypatch) -> list:
+    """Record each probing phase's warm-start rows followed by its tracked rows.
+
+    A stacked phase gives one (S, P, n) array, a single stream one (P, n) array.
+    """
+    streams = []
+    init, run = protocol.init_from_samples, protocol.tracker_run
+
+    def init_spy(samples, m):
+        streams.append(np.array(samples))
+        return init(samples, m)
+
+    def run_spy(tracker, stream):  # stream is (T, ..., n): one row per step
+        streams[-1] = np.concatenate([streams[-1], np.moveaxis(stream, 0, -2)], axis=-2)
+        return run(tracker, stream)
+
+    monkeypatch.setattr(protocol, "init_from_samples", init_spy)
+    monkeypatch.setattr(protocol, "tracker_run", run_spy)
+    return streams
 
 
 # pytest is told this module is not a test collection target
