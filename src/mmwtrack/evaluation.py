@@ -26,41 +26,42 @@ class MetricConfig:
             raise ValueError("p_t_bs must be > 0")
 
 
-def normalized_correlation(x, y) -> float:
-    """|x^H y| / (||x|| ||y||): phase-blind alignment of two vectors."""
-    x = np.asarray(x).ravel()
-    y = np.asarray(y).ravel()
-    nx = np.linalg.norm(x)
-    ny = np.linalg.norm(y)
-    if nx == 0.0 or ny == 0.0:
+def normalized_correlation(x, y):
+    """|x^H y| / (||x|| ||y||) over the last axis: phase-blind alignment, one per pair."""
+    nx = np.linalg.norm(x, axis=-1)
+    ny = np.linalg.norm(y, axis=-1)
+    if np.any(nx == 0.0) or np.any(ny == 0.0):
         raise ValueError("normalized_correlation undefined for zero vectors")
-    return min(float(abs(np.vdot(x, y)) / (nx * ny)), 1.0)
+    eta = np.minimum(np.abs(np.vecdot(x, y)) / (nx * ny), 1.0)
+    return float(eta) if eta.ndim == 0 else eta
 
 
-def spectral_efficiency(h, d_ms, d_bs, p_t_bs: float, sigma2_n: float) -> float:
+def spectral_efficiency(h, d_ms, d_bs, p_t_bs, sigma2_n: float):
     """Achievable rate in bits/s/Hz through the given combiner/precoder pair.
 
     log2 det[I + P (sigma2 D_ms^H D_ms)^{-1} D_ms^H H D_bs D_bs^H H^H D_ms]
+    One rate per stream of a stack of beams or of S powers P; a float for one stream.
     """
-    if p_t_bs <= 0 or sigma2_n <= 0:
+    if not np.all(np.asarray(p_t_bs) > 0) or sigma2_n <= 0:
         raise ValueError("p_t_bs and sigma2_n must be > 0")
     d_ms = np.asarray(d_ms, dtype=complex)
     d_bs = np.asarray(d_bs, dtype=complex)
-    gram = d_ms.conj().T @ d_ms
+    gram = d_ms.conj().mT @ d_ms
     try:
         np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
         raise ValueError("d_ms must have full column rank") from None
-    a = d_ms.conj().T @ np.asarray(h) @ d_bs
-    m = gram.shape[0]
-    inner = np.eye(m) + (p_t_bs / sigma2_n) * np.linalg.solve(gram, a @ a.conj().T)
-    _, logdet = np.linalg.slogdet(inner)
-    return max(float(logdet) / math.log(2.0), 0.0)
+    a = d_ms.conj().mT @ np.asarray(h) @ d_bs
+    x = (np.asarray(p_t_bs) / sigma2_n)[..., None, None] * np.linalg.solve(gram, a @ a.conj().mT)
+    _, logdet = np.linalg.slogdet(np.eye(x.shape[-1]) + x)
+    se = np.maximum(logdet / math.log(2.0), 0.0)
+    return float(se) if se.ndim == 0 else se
 
 
-def spectral_efficiency_bound(sigma, p_t_bs: float, sigma2_n: float) -> float:
-    """The oracle's rate sum_i log2(1 + P sigma_i^2 / sigma2) over the given singular values."""
-    return float(np.sum(np.log2(1.0 + p_t_bs * np.square(sigma) / sigma2_n)))
+def spectral_efficiency_bound(sigma, p_t_bs, sigma2_n: float):
+    """The oracle's rate sum_i log2(1 + P sigma_i^2 / sigma2) over singular values, per power P."""
+    bound = np.sum(np.log2(1.0 + np.multiply.outer(p_t_bs, np.square(sigma)) / sigma2_n), axis=-1)
+    return float(bound) if bound.ndim == 0 else bound
 
 
 def dpsk_noise(rngs, n_data_symbols: int) -> np.ndarray:
@@ -80,27 +81,28 @@ def dpsk_ser_trial(
 ):
     """Symbol error rate of differential K-PSK through the beamformed link.
 
-    Single-stream only. Per symbol, the combined noise d_ms^H n / ||d_ms|| is one
+    Multiplexing order 1 only. Per symbol, the combined noise d_ms^H n / ||d_ms|| is one
     CN(0, sigma2) draw w_n and the gain is g = |d_ms^H H d_bs| / ||d_ms||. Rotating
     each output by the conjugate of its symbol leaves circular noise as it is, so
     the detector sees y_n = sqrt(P) g + w_n whatever was sent: only w_n is drawn,
     real parts then imaginary parts, and symbol n is in error when
-    |arg(y_n conj(y_{n-1}))| > pi/K. S generators, each with its own cfg.p_t_bs and
-    optionally its own beams (a leading stream axis), score S streams at once; so
-    does an (S, 2, n + 1) array of drawn unit-variance noise, which is only read.
+    |arg(y_n conj(y_{n-1}))| > pi/K. rng is one Generator, which draws one
+    stream's noise now and gives a float, or drawn (S, 2, n + 1) noise from
+    dpsk_noise, which is only read and gives S values: one per stream, each with
+    its own cfg.p_t_bs and optionally its own beams (a leading stream axis).
     """
     if beams.d_ms.shape[-1] != 1 or beams.d_bs.shape[-1] != 1:
         raise ValueError("differential SER supports multiplexing order 1 only")
-    single = isinstance(rng, np.random.Generator)
     d_ms = beams.d_ms[..., 0]
     norm = np.linalg.norm(d_ms, axis=-1)
     if np.any(norm == 0.0):
         raise ValueError("differential SER undefined for a zero combiner")
     gain = np.abs(np.vecdot(d_ms, beams.d_bs[..., 0] @ chan.h.T)) / norm
 
-    w = rng
-    if not isinstance(rng, np.ndarray):
-        w = dpsk_noise([rng] if single else rng, cfg.n_data_symbols)
+    single = isinstance(rng, np.random.Generator)
+    if single and (gain.ndim > 0 or np.ndim(cfg.p_t_bs) > 0):
+        raise ValueError("one Generator scores one stream: draw a stack's noise with dpsk_noise")
+    w = dpsk_noise([rng], cfg.n_data_symbols) if single else rng
     if w.shape[-1] != cfg.n_data_symbols + 1:
         raise ValueError(f"noise has {w.shape[-1]} samples, expected {cfg.n_data_symbols + 1}")
     scale = math.sqrt(sigma2_n / 2.0)

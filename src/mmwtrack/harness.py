@@ -11,7 +11,6 @@ sees the same channel, probes and noise (paired comparison).
 from __future__ import annotations
 
 import hashlib
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -271,19 +270,25 @@ def config_digest(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(resolved_text(cfg).encode("utf-8")).hexdigest()[:16]
 
 
-def _check_beams(beams: EstimatedBeamformers) -> None:
+class _StreamFault(ValueError):
+    """A check failed on the first failing stream of a stack: args are (message, stream index)."""
+
+
+def _check_beams(beams: EstimatedBeamformers, n: int) -> None:
     for name, d in (("d_ms", beams.d_ms), ("d_bs", beams.d_bs)):
-        norms = np.sqrt(np.vecdot(d, d, axis=0).real)
-        if not np.all(np.abs(norms - 1.0) <= 1e-9):  # false for a NaN or inf too
-            fault = "is not finite" if not np.all(np.isfinite(d)) else "is not unit norm"
-            raise ValueError(f"{name} {fault}")
+        d = np.broadcast_to(d, (n,) + d.shape[-2:])
+        norms = np.sqrt(np.vecdot(d, d, axis=-2).real)
+        for i in np.flatnonzero(~np.all(np.abs(norms - 1.0) <= 1e-9, axis=-1))[:1]:  # NaN, inf too
+            fault = "is not finite" if not np.all(np.isfinite(d[i])) else "is not unit norm"
+            raise _StreamFault(f"{name} {fault}", i)
 
 
-def _check_metrics(eta_u: float, eta_v: float, se: float, se_oracle: float) -> None:
-    if not (0.0 <= eta_u <= 1.0 and 0.0 <= eta_v <= 1.0 and math.isfinite(se)):
-        raise ValueError(f"invalid metrics: eta_u {eta_u}, eta_v {eta_v}, se {se}")
-    if not se <= se_oracle + 1e-9:
-        raise ValueError(f"spectral efficiency {se} exceeds the oracle's {se_oracle}")
+def _check_metrics(eta_u, eta_v, se, se_oracle) -> None:
+    valid = (0.0 <= eta_u) & (eta_u <= 1.0) & (0.0 <= eta_v) & (eta_v <= 1.0) & np.isfinite(se)
+    for i in np.flatnonzero(~valid)[:1]:
+        raise _StreamFault(f"invalid metrics: eta_u {eta_u[i]}, eta_v {eta_v[i]}, se {se[i]}", i)
+    for i in np.flatnonzero(~(se <= se_oracle + 1e-9))[:1]:
+        raise _StreamFault(f"spectral efficiency {se[i]} exceeds the oracle's {se_oracle[i]}", i)
 
 
 def _trial_records(cfg: ExperimentConfig, trial_idx: int, digest: str) -> list:
@@ -318,38 +323,28 @@ def _trial_records(cfg: ExperimentConfig, trial_idx: int, digest: str) -> list:
     records = []
     for variant in cfg.variants:
         where = f"trial {trial_idx}, variant {variant.name}, snr_db {{}}, seed_used {{}}: {{}}"
-        stack = oracle
-        try:  # a failure of the stacked run is not one stream's: it names them all
+        try:
+            beams = oracle  # one pair of beams, scored at every power of the stack
             if variant.protocol is not None:
                 pcfg = replace(variant.protocol, tx_power_scale=tuple(rhos))
-                stack = run_protocol(chan, pcfg, front, sigma2, probes)
-        except Exception as exc:
-            raise RuntimeError(where.format(snrs, seeds, exc)) from exc
-        metrics = []
-        for si, (snr_db, p_t, seed_used) in enumerate(zip(snrs, p_ts, seeds)):
-            try:
-                beams = oracle
-                if variant.protocol is not None:
-                    beams = EstimatedBeamformers(stack.d_ms[si], stack.d_bs[si])
-                _check_beams(beams)
-                se = spectral_efficiency(chan.h, beams.d_ms, beams.d_bs, p_t, sigma2)
-                eta_u = normalized_correlation(u1, beams.d_ms[:, 0])
-                eta_v = normalized_correlation(v1, beams.d_bs[:, 0])
-                bound = spectral_efficiency_bound(chan.sigma[:m], p_t, sigma2)
-                _check_metrics(eta_u, eta_v, se, bound)
-                metrics.append((eta_u, eta_v, se))
-            except Exception as exc:
-                raise RuntimeError(where.format(snr_db, seed_used, exc)) from exc
-        sers = [None] * len(snrs)
-        try:  # scored as one stack too, once every stream's beams passed their checks
+                beams = run_protocol(chan, pcfg, front, sigma2, probes)
+            _check_beams(beams, len(snrs))  # before scoring: a zero-norm column fails it for all
+            se = spectral_efficiency(chan.h, beams.d_ms, beams.d_bs, p_ts, sigma2)
+            eta_u = np.broadcast_to(normalized_correlation(u1, beams.d_ms[..., 0]), se.shape)
+            eta_v = np.broadcast_to(normalized_correlation(v1, beams.d_bs[..., 0]), se.shape)
+            _check_metrics(eta_u, eta_v, se, spectral_efficiency_bound(chan.sigma[:m], p_ts, sigma2))
+            sers = [None] * len(snrs)
             if m == 1:
                 mcfg = replace(cfg.metrics, p_t_bs=p_ts)
-                sers = dpsk_ser_trial(chan, stack, mcfg, sigma2, noise).tolist()
-        except Exception as exc:
+                sers = dpsk_ser_trial(chan, beams, mcfg, sigma2, noise).tolist()
+        except _StreamFault as exc:  # a check names the stream it failed on
+            fault, i = exc.args
+            raise RuntimeError(where.format(snrs[i], seeds[i], fault)) from exc
+        except Exception as exc:  # a stacked call's failure is not one stream's: it names them all
             raise RuntimeError(where.format(snrs, seeds, exc)) from exc
         records += [
-            TrialRecord(trial_idx, variant.name, snr_db, *metric, ser, seed_used, digest)
-            for snr_db, seed_used, metric, ser in zip(snrs, seeds, metrics, sers)
+            TrialRecord(trial_idx, variant.name, *row, digest)
+            for row in zip(snrs, eta_u.tolist(), eta_v.tolist(), se.tolist(), sers, seeds)
         ]
     return records
 

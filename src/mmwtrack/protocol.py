@@ -156,16 +156,20 @@ def draw_probes(rngs, n_probes: int, n_tx: int, n_rx: int) -> ProbeBlock:
     return ProbeBlock(signs, re, im)
 
 
-def _probe_and_track(link, d_rf, block: ProbeBlock, cfg: ProtocolConfig, sigma2_n) -> np.ndarray:
-    """Probe link (n_rx x n_tx) with a drawn block; track the received rows.
+def _phase(link, d_rf, n_probes, cfg: ProtocolConfig, sigma2_n, block) -> np.ndarray:
+    """Probe link (n_rx x n_tx) and track the received rows.
 
     Forms R = sqrt(rho) S link^T + sqrt(sigma2/2) N from the block's signs S and
     noise N, combines it as R conj(d_rf) unless d_rf is None, warm-starts on
-    cfg.warmup rows and tracks the rest. A block with a leading axis of S
-    streams, each with its own cfg.tx_power_scale and optionally its own link
-    (S, n_rx, n_tx), runs S streams stacked; a block without that axis is one
-    stream. The block is only read.
+    cfg.warmup rows and tracks the rest. block is a drawn ProbeBlock of S streams,
+    which is only read, each stream with its own cfg.tx_power_scale and
+    optionally its own link; or one Generator, which draws one stream's block now.
     """
+    if isinstance(block, np.random.Generator):
+        n_rx, n_tx = link.shape[-2:]
+        block = ProbeBlock(*(a[0] for a in draw_probes([block], n_probes, n_tx, n_rx)))
+    if block.signs.shape[-2] != n_probes:
+        raise ValueError(f"probe block has {block.signs.shape[-2]} probes, expected {n_probes}")
     # S is real, so S link^T is one real product on the interleaved real and
     # imaginary parts of link^T, and the noise adds to those parts in place
     link_t = np.ascontiguousarray(np.swapaxes(link, -1, -2)).view(np.float64)
@@ -189,24 +193,6 @@ def _probe_and_track(link, d_rf, block: ProbeBlock, cfg: ProtocolConfig, sigma2_
     return extract_basis(tracker)
 
 
-def _phase(link, d_rf, n_probes, cfg: ProtocolConfig, sigma2_n, rng) -> np.ndarray:
-    """Probe and track one phase on a drawn block, or on one drawn now from rng.
-
-    A sequence of S generators draws a stacked block; one Generator is that
-    stack at S = 1 without its axis.
-    """
-    if isinstance(rng, ProbeBlock):
-        if rng.signs.shape[-2] != n_probes:
-            raise ValueError(f"probe block has {rng.signs.shape[-2]} probes, expected {n_probes}")
-        return _probe_and_track(link, d_rf, rng, cfg, sigma2_n)
-    single = isinstance(rng, np.random.Generator)
-    n_rx, n_tx = link.shape[-2:]
-    block = draw_probes([rng] if single else rng, n_probes, n_tx, n_rx)
-    if single:
-        block = ProbeBlock(*(a[0] for a in block))
-    return _probe_and_track(link, d_rf, block, cfg, sigma2_n)
-
-
 def _combiners(cfg: ProtocolConfig, front: HybridFrontEnd | None):
     """(MS, BS) analog combiners: (None, None) fully digital."""
     if cfg.mode == MODE_FD:
@@ -225,9 +211,9 @@ def run_phase_a(
 ) -> np.ndarray:
     """Downlink probing; returns the tracked left-subspace basis.
 
-    rng is one Generator, a sequence of S of them or a drawn ProbeBlock.
-
-    Full antenna dimension in FD mode, RF-chain dimension in hybrid mode.
+    rng is one Generator (one stream) or a drawn ProbeBlock of S streams, whose
+    basis gains a leading stream axis. Full antenna dimension in FD mode,
+    RF-chain dimension in hybrid mode.
     """
     d_ms_rf, _ = _combiners(cfg, front)
     return _phase(chan.h, d_ms_rf, cfg.p_bs, cfg, sigma2_n, rng)
@@ -241,7 +227,10 @@ def run_phase_b(
     sigma2_n: float,
     rng,
 ) -> np.ndarray:
-    """Uplink probing through the estimated precoder (an (S, n_ms, m) stack for S streams)."""
+    """Uplink probing through the estimated precoder d_ms; returns the tracked right basis.
+
+    rng as in run_phase_a; with a ProbeBlock, d_ms may be an (S, n_ms, m) stack.
+    """
     n_ms, n_bs = chan.h.shape
     if d_ms.shape[-2:] != (n_ms, cfg.m):
         raise ValueError(f"d_ms has shape {d_ms.shape}, expected ({n_ms}, {cfg.m})")
@@ -258,14 +247,12 @@ def run_protocol(
 ) -> EstimatedBeamformers:
     """Run both phases and return unit-column beamformers; hybrid mode needs a front end.
 
-    rng is one Generator, a sequence of S of them, or a pair of drawn
-    ProbeBlocks (phase a, phase b) with S streams. Generators draw phase (a)'s
-    block, then phase (b)'s. With S streams and S values of
-    cfg.tx_power_scale, the streams run stacked and every beamformer gains a
-    leading stream axis.
+    rng is one Generator, which draws phase (a)'s block and then phase (b)'s
+    for one stream, or a pair of drawn ProbeBlocks (phase a, phase b) of S
+    streams with S values of cfg.tx_power_scale: the streams run stacked and
+    every beamformer gains a leading stream axis.
     """
-    drawn = not isinstance(rng, np.random.Generator) and isinstance(rng[0], ProbeBlock)
-    rng_a, rng_b = rng if drawn else (rng, rng)
+    rng_a, rng_b = (rng, rng) if isinstance(rng, np.random.Generator) else rng
     d_ms_rf, d_bs_rf = _combiners(cfg, front)
     d_ms, d_ms_bb = _lift_and_normalize(d_ms_rf, run_phase_a(chan, cfg, front, sigma2_n, rng_a))
     d_bs, d_bs_bb = _lift_and_normalize(d_bs_rf, run_phase_b(chan, d_ms, cfg, front, sigma2_n, rng_b))

@@ -49,6 +49,19 @@ class TestNormalizedCorrelation:
         with pytest.raises(ValueError):
             normalized_correlation(np.zeros(3), np.ones(3))
 
+    def test_stack_matches_one_call_per_pair(self):
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((7, 30)) + 1j * rng.standard_normal((7, 30))
+        y = rng.standard_normal((7, 30)) + 1j * rng.standard_normal((7, 30))
+        singles = [normalized_correlation(a, b) for a, b in zip(x, y)]
+        np.testing.assert_allclose(normalized_correlation(x, y), singles, rtol=0, atol=1e-15)
+        # one reference vector against a stack, as the harness scores the oracle's u1
+        np.testing.assert_allclose(normalized_correlation(x[0], y), [normalized_correlation(x[0], b) for b in y],
+                                   rtol=0, atol=1e-15)
+        y[3] = 0.0
+        with pytest.raises(ValueError):
+            normalized_correlation(x, y)
+
 
 class TestSpectralEfficiency:
     def test_zero_channel(self):
@@ -101,6 +114,32 @@ class TestSpectralEfficiency:
             chan = sample_channel(params, ArrayConfig(16), ArrayConfig(8), rng)
             oracle = spectral_efficiency(chan.h, chan.u[:, :m], chan.v[:, :m], p, 1.0)
             assert spectral_efficiency_bound(chan.sigma[:m], p, 1.0) == pytest.approx(oracle, abs=1e-12)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_stack_matches_one_call_per_stream(self, m):
+        rng = np.random.default_rng(9)
+        chan = sample_channel(ChannelParams(n_clusters=2, rays_per_cluster=(3, 3)),
+                              ArrayConfig(16), ArrayConfig(8), rng)
+        powers = (1e6, 1e7, 1e8, 1e9, 1e10)
+        d_ms = np.stack([rand_unitary(8, m, rng) for _ in powers])
+        d_bs = np.stack([rand_unitary(16, m, rng) for _ in powers])
+        stacked = spectral_efficiency(chan.h, d_ms, d_bs, powers, 1.0)
+        singles = [spectral_efficiency(chan.h, a, b, p, 1.0) for a, b, p in zip(d_ms, d_bs, powers)]
+        assert stacked.shape == (5,) and stacked.tolist() == singles
+        # the oracle: one pair of beams broadcast over the powers
+        oracle = spectral_efficiency(chan.h, chan.u[:, :m], chan.v[:, :m], powers, 1.0)
+        assert oracle.tolist() == [
+            spectral_efficiency(chan.h, chan.u[:, :m], chan.v[:, :m], p, 1.0) for p in powers
+        ]
+        bound = spectral_efficiency_bound(chan.sigma[:m], powers, 1.0)
+        assert bound.tolist() == [spectral_efficiency_bound(chan.sigma[:m], p, 1.0) for p in powers]
+
+    def test_rank_deficient_stream_in_a_stack_rejected(self):
+        rng = np.random.default_rng(10)
+        d_ms = np.stack([rand_unitary(4, 2, rng) for _ in range(3)])
+        d_ms[1] = 1.0  # identical columns
+        with pytest.raises(ValueError, match="full column rank"):
+            spectral_efficiency(np.eye(4), d_ms, np.eye(4)[:, :2], (1.0, 2.0, 3.0), 0.1)
 
     def test_monotone_in_transmit_power(self):
         rng = np.random.default_rng(3)
@@ -176,18 +215,30 @@ class TestDpskSer:
         with pytest.raises(ValueError):
             dpsk_ser_trial(chan, beams, MetricConfig(), 0.1, np.random.default_rng(0))
         stacked = EstimatedBeamformers(d_ms=np.stack([chan.u[:, :2]] * 3), d_bs=np.stack([chan.v[:, :2]] * 3))
-        rngs = [np.random.default_rng(i) for i in range(3)]
+        noise = dpsk_noise([np.random.default_rng(i) for i in range(3)], MetricConfig().n_data_symbols)
         with pytest.raises(ValueError):
-            dpsk_ser_trial(chan, stacked, MetricConfig(p_t_bs=(1.0, 2.0, 3.0)), 0.1, rngs)
+            dpsk_ser_trial(chan, stacked, MetricConfig(p_t_bs=(1.0, 2.0, 3.0)), 0.1, noise)
+
+    def test_one_generator_scores_one_stream_only(self):
+        # a Generator draws one stream's noise: a stack of beams or powers needs dpsk_noise
+        chan = rank1_channel()
+        beams = EstimatedBeamformers(d_ms=np.stack([chan.u[:, :1]] * 3), d_bs=np.stack([chan.v[:, :1]] * 3))
+        with pytest.raises(ValueError, match="dpsk_noise"):
+            dpsk_ser_trial(chan, beams, MetricConfig(p_t_bs=(1.0, 2.0, 3.0)), 0.1, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="dpsk_noise"):
+            dpsk_ser_trial(chan, beams, MetricConfig(), 0.1, np.random.default_rng(0))
+        oracle = EstimatedBeamformers(d_ms=chan.u[:, :1], d_bs=chan.v[:, :1])
+        with pytest.raises(ValueError, match="dpsk_noise"):
+            dpsk_ser_trial(chan, oracle, MetricConfig(p_t_bs=(1.0, 2.0, 3.0)), 0.1, np.random.default_rng(0))
 
     def test_zero_combiner_in_a_stack_rejected(self):
         chan = rank1_channel()
         d_ms = np.stack([chan.u[:, :1]] * 3)
         d_ms[1] = 0.0
         beams = EstimatedBeamformers(d_ms=d_ms, d_bs=np.stack([chan.v[:, :1]] * 3))
-        rngs = [np.random.default_rng(i) for i in range(3)]
-        with pytest.raises(ValueError):
-            dpsk_ser_trial(chan, beams, MetricConfig(p_t_bs=(1.0, 2.0, 3.0)), 0.1, rngs)
+        noise = dpsk_noise([np.random.default_rng(i) for i in range(3)], MetricConfig().n_data_symbols)
+        with pytest.raises(ValueError, match="zero combiner"):
+            dpsk_ser_trial(chan, beams, MetricConfig(p_t_bs=(1.0, 2.0, 3.0)), 0.1, noise)
 
     def test_stack_matches_one_call_per_stream(self):
         chan = rank1_channel()
@@ -203,8 +254,8 @@ class TestDpskSer:
             (tracked, [EstimatedBeamformers(tracked.d_ms[i], tracked.d_bs[i]) for i in range(3)]),
             (oracle, [oracle] * 3),  # one pair of beams broadcast over the stack
         ):
-            rngs = [np.random.default_rng(100 + i) for i in range(3)]
-            stacked = dpsk_ser_trial(chan, beams, cfg, 0.3, rngs)
+            noise = dpsk_noise([np.random.default_rng(100 + i) for i in range(3)], 3000)
+            stacked = dpsk_ser_trial(chan, beams, cfg, 0.3, noise)
             singles = [
                 dpsk_ser_trial(chan, b, MetricConfig(n_data_symbols=3000, p_t_bs=p), 0.3,
                                np.random.default_rng(100 + i))
@@ -226,8 +277,7 @@ class TestDpskSer:
         noise = dpsk_noise([np.random.default_rng(200 + i) for i in range(3)], 3000)
         before = noise.copy()
         drawn = dpsk_ser_trial(chan, beams, cfg, 0.3, noise)
-        rngs = [np.random.default_rng(200 + i) for i in range(3)]
-        assert drawn.tobytes() == dpsk_ser_trial(chan, beams, cfg, 0.3, rngs).tobytes()
+        assert drawn.shape == (3,)
         assert noise.shape == (3, 2, 3001) and np.array_equal(noise, before)
         with pytest.raises(ValueError, match="expected 2001"):
             dpsk_ser_trial(chan, beams, MetricConfig(n_data_symbols=2000, p_t_bs=powers), 0.3, noise)

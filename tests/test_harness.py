@@ -153,53 +153,61 @@ class TestLoadConfig:
 ONE_TRIAL = SMALL.replace("n_trials = 3", "n_trials = 1")
 
 
-def fail_third_evaluation(monkeypatch):
-    """Make spectral_efficiency raise on its third call: trial 0, ooja-hy, 0 dB.
+def fail_second_scoring(monkeypatch):
+    """Make spectral_efficiency raise on its second call: trial 0, the ooja-hy stack.
 
-    Returns the seed_used of that (SNR, trial) stream, which every variant shares.
+    Each variant scores its SNR stack in one call, so the failure is the whole
+    stack's. Returns the seed_used of each (SNR, trial) stream, which every
+    variant shares.
     """
     real = harness.spectral_efficiency
     calls = []
 
     def flaky(*args, **kwargs):
         calls.append(None)
-        if len(calls) == 3:
+        if len(calls) == 2:
             raise FloatingPointError("injected failure")
         return real(*args, **kwargs)
 
     monkeypatch.setattr(harness, "spectral_efficiency", flaky)
-    seq = np.random.SeedSequence(7, spawn_key=(1, 0, 0))
-    return int(seq.generate_state(1)[0])
+    seqs = [np.random.SeedSequence(7, spawn_key=(1, si, 0)) for si in range(2)]
+    return [int(seq.generate_state(1)[0]) for seq in seqs]
 
 
-def assert_names_the_failed_run(message, seed_used):
-    coordinates = ("trial 0", "variant ooja-hy", "snr_db 0.0", f"seed_used {seed_used}")
+def assert_names_the_failed_run(message, seeds_used):
+    coordinates = ("trial 0", "variant ooja-hy", "snr_db (0.0, 10.0)", f"seed_used {seeds_used}")
     for part in ("injected failure",) + coordinates:
         assert part in message
 
 
 class TestRunExperiment:
     def test_trial_error_names_its_coordinates(self, monkeypatch):
-        seed_used = fail_third_evaluation(monkeypatch)
+        seeds_used = fail_second_scoring(monkeypatch)
         with pytest.raises(RuntimeError) as info:
             run_experiment(load_config(ONE_TRIAL))
-        assert_names_the_failed_run(str(info.value), seed_used)
+        assert_names_the_failed_run(str(info.value), seeds_used)
 
-    def test_bad_beam_names_its_own_stream(self, monkeypatch):
+    # a zero-norm column would fail the stacked scoring calls for every stream,
+    # so this case fails unless the beams are checked before they are scored
+    @pytest.mark.parametrize("entries, value, fault", [
+        ((1, 0, 0), np.nan, "d_ms is not finite"),
+        ((1, slice(None), 0), 0.0, "d_ms is not unit norm"),  # stream 1's first column
+    ], ids=["nan", "zero-norm"])
+    def test_bad_beam_names_its_own_stream(self, monkeypatch, entries, value, fault):
         real = harness.run_protocol
 
-        def nan_in_second_stream(chan, cfg, front, sigma2, rngs):
+        def bad_second_stream(chan, cfg, front, sigma2, rngs):
             beams = real(chan, cfg, front, sigma2, rngs)
-            beams.d_ms[1, 0, 0] = np.nan
+            beams.d_ms[entries] = value
             return beams
 
-        monkeypatch.setattr(harness, "run_protocol", nan_in_second_stream)
+        monkeypatch.setattr(harness, "run_protocol", bad_second_stream)
         text = ONE_TRIAL.replace("snr_grid_db = 0,10", "snr_grid_db = 0,10,20")
         with pytest.raises(RuntimeError) as info:
             run_experiment(load_config(text))
         seq = np.random.SeedSequence(7, spawn_key=(1, 1, 0))  # 10 dB, trial 0
         message = str(info.value)
-        for part in ("trial 0", "variant pastd-fd", "snr_db 10.0", "d_ms is not finite"):
+        for part in ("trial 0", "variant pastd-fd", "snr_db 10.0", fault):
             assert part in message
         assert f"seed_used {int(seq.generate_state(1)[0])}:" in message
         assert "snr_db 0.0" not in message
@@ -210,7 +218,10 @@ class TestRunExperiment:
 
         def inflated(*args, **kwargs):
             calls.append(None)
-            return real(*args, **kwargs) + (1.0 if len(calls) == 2 else 0.0)
+            se = real(*args, **kwargs)
+            if len(calls) == 1:  # the pastd-fd stack: only its 10 dB stream
+                se[1] += 1.0
+            return se
 
         monkeypatch.setattr(harness, "spectral_efficiency", inflated)
         with pytest.raises(RuntimeError) as info:
@@ -383,11 +394,11 @@ class TestCli:
     def test_runtime_error_names_the_failed_run(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "cfg.txt"
         path.write_text(ONE_TRIAL)
-        seed_used = fail_third_evaluation(monkeypatch)
+        seeds_used = fail_second_scoring(monkeypatch)
         assert cli_main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("runtime error:")
-        assert_names_the_failed_run(err, seed_used)
+        assert_names_the_failed_run(err, seeds_used)
 
     def test_simulate_writes_outputs(self, tmp_path):
         path = tmp_path / "cfg.txt"

@@ -278,7 +278,7 @@ class TestProbingContract:
 
 
 class TestStackedStreams:
-    """S generators with S powers run stacked, and each stream equals its own run."""
+    """Blocks drawn from S generators run stacked at S powers; each stream equals its own run."""
 
     POWERS = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
 
@@ -304,12 +304,13 @@ class TestStackedStreams:
         cfg = small_cfg(mode=mode, m=m, tracker=TrackerSpec(kind=kind, delta=0.3))
         front = make_front_end(ArrayConfig(16), ArrayConfig(8), cfg) if mode == "hy" else None
         seeds = range(20, 27)
+        rngs = [np.random.default_rng(seed) for seed in seeds]
         stacked = run_protocol(
             chan,
             small_cfg(mode=mode, m=m, tracker=cfg.tracker, tx_power_scale=self.POWERS),
             front,
             0.3,
-            [np.random.default_rng(seed) for seed in seeds],
+            (protocol.draw_probes(rngs, 30, 16, 8), protocol.draw_probes(rngs, 30, m, 16)),
         )
         assert stacked.d_ms.shape == (7, 8, m) and stacked.d_bs.shape == (7, 16, m)
         for i, (seed, rho) in enumerate(zip(seeds, self.POWERS)):
@@ -324,7 +325,7 @@ class TestStackedStreams:
     @pytest.mark.parametrize("mode", ["fd", "hy"])
     @pytest.mark.parametrize("kind", ["pastd", "ooja"])
     def test_drawn_blocks_equal_the_generators(self, kind, mode, m):
-        # blocks drawn from fresh copies of the generators, phase (a) then phase (b)
+        # drawn blocks are the only stacked input form; running on them leaves them as drawn
         chan = self.three_ray_channel()
         cfg = small_cfg(mode=mode, m=m, tracker=TrackerSpec(kind=kind, delta=0.3),
                         p_ms=25, tx_power_scale=self.POWERS)
@@ -334,10 +335,7 @@ class TestStackedStreams:
         blocks = (protocol.draw_probes(drawn, 30, 16, 8), protocol.draw_probes(drawn, 25, m, 16))
         before = [a.copy() for block in blocks for a in block]
         from_blocks = run_protocol(chan, cfg, front, 0.3, blocks)
-        from_rngs = run_protocol(chan, cfg, front, 0.3, [np.random.default_rng(s) for s in seeds])
-        for name in ("d_ms", "d_bs", "d_ms_bb", "d_bs_bb"):
-            a, b = getattr(from_blocks, name), getattr(from_rngs, name)
-            assert (a is None and b is None) or a.tobytes() == b.tobytes()
+        assert from_blocks.d_ms.shape == (7, 8, m) and from_blocks.d_bs.shape == (7, 16, m)
         after = [a for block in blocks for a in block]
         assert all(np.array_equal(x, y) for x, y in zip(before, after))  # the blocks are only read
 
