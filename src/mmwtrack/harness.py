@@ -11,9 +11,10 @@ sees the same channel, probes and noise (paired comparison).
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from itertools import repeat
 
 import numpy as np
@@ -49,17 +50,6 @@ ORACLE = "oracle"
 
 
 @dataclass(frozen=True)
-class Variant:
-    """One variant to evaluate, e.g. pastd-hy, with the protocol it runs.
-
-    The protocol is None for the exact-SVD oracle baseline.
-    """
-
-    name: str
-    protocol: ProtocolConfig | None
-
-
-@dataclass(frozen=True)
 class TrialRecord:
     trial_index: int
     variant: str
@@ -69,92 +59,134 @@ class TrialRecord:
     spectral_eff_bits: float
     ser: float | None
     seed_used: int
-    config_digest: str
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    bs: ArrayConfig
-    ms: ArrayConfig
-    channel: ChannelParams
-    protocol: ProtocolConfig
-    metrics: MetricConfig
-    snr_grid_db: tuple
-    n_trials: int
-    master_seed: int
-    variants: tuple
+    """One field per config key, in canonical order, with its documented paper-style default.
+
+    A key's type is its default's: ints parse with int(s, 0), floats with float,
+    and tuples as comma lists of the default's element type. Construction (also
+    through dataclasses.replace) checks the keys, raising ConfigError, and builds
+    the model objects below; variant_protocols holds each variant's protocol,
+    None for the exact-SVD oracle.
+    """
+
+    n_bs: int = 100
+    n_ms: int = 30
+    element_spacing_wl: float = 0.5
+    n_clusters: int = 5
+    rays_per_cluster: tuple = (10,)  # one entry broadcasts to every cluster
+    carrier_freq_ghz: float = 73.0
+    link_distance_m: float = 50.0
+    los_probability: float = 0.0
+    path_loss_intercept_db: float = 72.0
+    path_loss_exponent: float = 2.92
+    cluster_angle_spread_deg: float = 5.0
+    noise_psd_dbm_hz: float = -174.0
+    noise_figure_db: float = 3.0
+    bandwidth_mhz: float = 500.0
+    p_bs: int = 30
+    p_ms: int = 30
+    warmup: int = 10
+    multiplexing_order: int = 1
+    n_rf_bs: int = 20
+    n_rf_ms: int = 10
+    pastd_beta: float = 0.95
+    ooja_delta: float = 0.01
+    ooja_sign: int = 1
+    psk_order: int = 16
+    n_data_symbols: int = 10_000
+    p_t_bs: float = 1.0
+    snr_grid_db: tuple = (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0)
+    n_trials: int = 500
+    master_seed: int = 1
+    variants: tuple = ("pastd-fd", "ooja-fd", "pastd-hy", "ooja-hy", ORACLE)
+
+    bs: ArrayConfig = field(init=False, repr=False, compare=False)
+    ms: ArrayConfig = field(init=False, repr=False, compare=False)
+    channel: ChannelParams = field(init=False, repr=False, compare=False)
+    protocol: ProtocolConfig = field(init=False, repr=False, compare=False)
+    metrics: MetricConfig = field(init=False, repr=False, compare=False)
+    variant_protocols: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        try:
+            self._build()
+        except ValueError as exc:  # a ConfigError passes through with its message
+            raise ConfigError(str(exc)) from None
+
+    def _build(self):
+        if len(self.rays_per_cluster) == 1:
+            object.__setattr__(self, "rays_per_cluster", self.rays_per_cluster * self.n_clusters)
+        bs = ArrayConfig(self.n_bs, self.element_spacing_wl)
+        ms = ArrayConfig(self.n_ms, self.element_spacing_wl)
+        channel = ChannelParams(
+            n_clusters=self.n_clusters,
+            rays_per_cluster=self.rays_per_cluster,
+            carrier_freq_hz=self.carrier_freq_ghz * 1e9,
+            link_distance_m=self.link_distance_m,
+            los_probability=self.los_probability,
+            path_loss_model=LogDistancePathLoss(self.path_loss_intercept_db, self.path_loss_exponent),
+            cluster_angle_spread_deg=self.cluster_angle_spread_deg,
+            noise_psd_dbm_hz=self.noise_psd_dbm_hz,
+            noise_figure_db=self.noise_figure_db,
+            bandwidth_hz=self.bandwidth_mhz * 1e6,
+        )
+        protocol = ProtocolConfig(
+            p_bs=self.p_bs,
+            p_ms=self.p_ms,
+            warmup=self.warmup,
+            m=self.multiplexing_order,
+            n_rf_bs=self.n_rf_bs,
+            n_rf_ms=self.n_rf_ms,
+            tracker=TrackerSpec(beta=self.pastd_beta, delta=self.ooja_delta, sign=self.ooja_sign),
+        )
+        metrics = MetricConfig(self.psk_order, self.n_data_symbols, self.p_t_bs)
+        if self.multiplexing_order > min(self.n_bs, self.n_ms):
+            raise ConfigError("multiplexing_order must not exceed min(n_bs, n_ms)")
+        if not (1 <= self.n_rf_bs <= self.n_bs and 1 <= self.n_rf_ms <= self.n_ms):
+            raise ConfigError("n_rf_bs/n_rf_ms must be between 1 and the antenna counts")
+        for key in ("snr_grid_db", "variants"):
+            value = getattr(self, key)
+            if len(set(value)) != len(value):
+                raise ConfigError(f"{key}: duplicate entries in {_fmt_value(value)!r}")
+        variant_protocols = []
+        for name in self.variants:
+            kind, _, mode = name.partition("-")
+            if name == ORACLE:
+                variant_protocols.append(None)
+            elif kind in (TRACKER_PASTD, TRACKER_OOJA) and mode in (MODE_FD, MODE_HY):
+                tracker = replace(protocol.tracker, kind=kind)
+                variant_protocols.append(replace(protocol, mode=mode, tracker=tracker))
+            else:
+                raise ConfigError(
+                    f"variants: unknown variant {name!r} (expected pastd-fd, pastd-hy, "
+                    f"ooja-fd, ooja-hy or oracle)"
+                )
         if self.n_trials < 1:
             raise ConfigError(f"n_trials must be >= 1, got {self.n_trials}")
         if len(self.snr_grid_db) == 0:
             raise ConfigError("snr_grid_db must be nonempty")
+        if not all(math.isfinite(x) for x in self.snr_grid_db):
+            raise ConfigError(f"snr_grid_db: non-finite point in {_fmt_value(self.snr_grid_db)!r}")
         if len(self.variants) == 0:
             raise ConfigError("variants must be nonempty")
+        if self.master_seed < 0:
+            raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
+        for name, value in (("bs", bs), ("ms", ms), ("channel", channel), ("protocol", protocol),
+                            ("metrics", metrics), ("variant_protocols", tuple(variant_protocols))):
+            object.__setattr__(self, name, value)
 
 
-def _parse_int(s):
-    return int(s, 0)
+_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig) if f.init}
 
 
-def _list_of(item):
-    """Parser for a comma-separated list; empty tokens are skipped."""
-    return lambda s: tuple(item(tok.strip()) for tok in s.split(",") if tok.strip())
-
-
-# key -> (parser, default, getter). Defaults are the documented paper-style
-# setup; the getter reads the key's value back off a built ExperimentConfig.
-_SCHEMA = {
-    "n_bs": (_parse_int, 100, lambda c: c.bs.n_elements),
-    "n_ms": (_parse_int, 30, lambda c: c.ms.n_elements),
-    "element_spacing_wl": (float, 0.5, lambda c: c.bs.spacing),
-    "n_clusters": (_parse_int, 5, lambda c: c.channel.n_clusters),
-    "rays_per_cluster": (_list_of(int), (10,), lambda c: tuple(c.channel.rays_per_cluster)),
-    "carrier_freq_ghz": (float, 73.0, lambda c: c.channel.carrier_freq_hz / 1e9),
-    "link_distance_m": (float, 50.0, lambda c: c.channel.link_distance_m),
-    "los_probability": (float, 0.0, lambda c: c.channel.los_probability),
-    "path_loss_intercept_db": (float, 72.0, lambda c: c.channel.path_loss_model.intercept_db),
-    "path_loss_exponent": (float, 2.92, lambda c: c.channel.path_loss_model.exponent),
-    "cluster_angle_spread_deg": (float, 5.0, lambda c: c.channel.cluster_angle_spread_deg),
-    "noise_psd_dbm_hz": (float, -174.0, lambda c: c.channel.noise_psd_dbm_hz),
-    "noise_figure_db": (float, 3.0, lambda c: c.channel.noise_figure_db),
-    "bandwidth_mhz": (float, 500.0, lambda c: c.channel.bandwidth_hz / 1e6),
-    "p_bs": (_parse_int, 30, lambda c: c.protocol.p_bs),
-    "p_ms": (_parse_int, 30, lambda c: c.protocol.p_ms),
-    "warmup": (_parse_int, 10, lambda c: c.protocol.warmup),
-    "multiplexing_order": (_parse_int, 1, lambda c: c.protocol.m),
-    "n_rf_bs": (_parse_int, 20, lambda c: c.protocol.n_rf_bs),
-    "n_rf_ms": (_parse_int, 10, lambda c: c.protocol.n_rf_ms),
-    "pastd_beta": (float, 0.95, lambda c: c.protocol.tracker.beta),
-    "ooja_delta": (float, 0.01, lambda c: c.protocol.tracker.delta),
-    "ooja_sign": (_parse_int, 1, lambda c: c.protocol.tracker.sign),
-    "psk_order": (_parse_int, 16, lambda c: c.metrics.psk_order),
-    "n_data_symbols": (_parse_int, 10_000, lambda c: c.metrics.n_data_symbols),
-    "p_t_bs": (float, 1.0, lambda c: c.metrics.p_t_bs),
-    "snr_grid_db": (
-        _list_of(float), (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0), lambda c: tuple(c.snr_grid_db)
-    ),
-    "n_trials": (_parse_int, 500, lambda c: c.n_trials),
-    "master_seed": (_parse_int, 1, lambda c: c.master_seed),
-    "variants": (
-        _list_of(str),
-        ("pastd-fd", "ooja-fd", "pastd-hy", "ooja-hy", "oracle"),
-        lambda c: tuple(v.name for v in c.variants),
-    ),
-}
-
-
-def _parse_variant(token: str, protocol: ProtocolConfig) -> Variant:
-    if token == ORACLE:
-        return Variant(name=token, protocol=None)
-    algorithm, _, mode = token.partition("-")
-    if algorithm not in (TRACKER_PASTD, TRACKER_OOJA) or mode not in (MODE_FD, MODE_HY):
-        raise ConfigError(
-            f"variants: unknown variant {token!r} (expected pastd-fd, pastd-hy, "
-            f"ooja-fd, ooja-hy or oracle)"
-        )
-    tracker = replace(protocol.tracker, kind=algorithm)
-    return Variant(name=token, protocol=replace(protocol, mode=mode, tracker=tracker))
+def _parse_value(default, text: str):
+    """text as the type of the key's default; a tuple is a comma list, empty tokens skipped."""
+    if isinstance(default, tuple):
+        return tuple(type(default[0])(tok.strip()) for tok in text.split(",") if tok.strip())
+    return int(text, 0) if isinstance(default, int) else float(text)
 
 
 def _parse_document(text: str) -> dict:
@@ -168,13 +200,12 @@ def _parse_document(text: str) -> dict:
         key, _, val = line.partition("=")
         key = key.strip()
         val = val.strip()
-        if key not in _SCHEMA:
+        if key not in _DEFAULTS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        parser, _, _ = _SCHEMA[key]
         try:
-            values[key] = parser(val)
+            values[key] = _parse_value(_DEFAULTS[key], val)
         except ValueError as exc:
             raise ConfigError(f"{key}: cannot parse {val!r} ({exc})") from None
     return values
@@ -189,68 +220,7 @@ def load_config(source) -> ExperimentConfig:
                 text = fh.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config file {os.fspath(source)!r}: {exc}") from None
-    values = _parse_document(text)
-    resolved = {key: values.get(key, default) for key, (_, default, _) in _SCHEMA.items()}
-
-    rays = resolved["rays_per_cluster"]
-    if len(rays) == 1:
-        rays = rays * resolved["n_clusters"]
-
-    try:
-        bs = ArrayConfig(resolved["n_bs"], resolved["element_spacing_wl"])
-        ms = ArrayConfig(resolved["n_ms"], resolved["element_spacing_wl"])
-        channel = ChannelParams(
-            n_clusters=resolved["n_clusters"],
-            rays_per_cluster=rays,
-            carrier_freq_hz=resolved["carrier_freq_ghz"] * 1e9,
-            link_distance_m=resolved["link_distance_m"],
-            los_probability=resolved["los_probability"],
-            path_loss_model=LogDistancePathLoss(
-                resolved["path_loss_intercept_db"], resolved["path_loss_exponent"]
-            ),
-            cluster_angle_spread_deg=resolved["cluster_angle_spread_deg"],
-            noise_psd_dbm_hz=resolved["noise_psd_dbm_hz"],
-            noise_figure_db=resolved["noise_figure_db"],
-            bandwidth_hz=resolved["bandwidth_mhz"] * 1e6,
-        )
-        protocol = ProtocolConfig(
-            p_bs=resolved["p_bs"],
-            p_ms=resolved["p_ms"],
-            warmup=resolved["warmup"],
-            m=resolved["multiplexing_order"],
-            n_rf_bs=resolved["n_rf_bs"],
-            n_rf_ms=resolved["n_rf_ms"],
-            tracker=TrackerSpec(
-                beta=resolved["pastd_beta"],
-                delta=resolved["ooja_delta"],
-                sign=resolved["ooja_sign"],
-            ),
-        )
-        metrics = MetricConfig(
-            psk_order=resolved["psk_order"],
-            n_data_symbols=resolved["n_data_symbols"],
-            p_t_bs=resolved["p_t_bs"],
-        )
-        if protocol.m > min(bs.n_elements, ms.n_elements):
-            raise ConfigError("multiplexing_order must not exceed min(n_bs, n_ms)")
-        if not (1 <= protocol.n_rf_bs <= bs.n_elements and 1 <= protocol.n_rf_ms <= ms.n_elements):
-            raise ConfigError("n_rf_bs/n_rf_ms must be between 1 and the antenna counts")
-        for key in ("snr_grid_db", "variants"):
-            if len(set(resolved[key])) != len(resolved[key]):
-                raise ConfigError(f"{key}: duplicate entries in {_fmt_value(resolved[key])!r}")
-        return ExperimentConfig(
-            bs=bs,
-            ms=ms,
-            channel=channel,
-            protocol=protocol,
-            metrics=metrics,
-            snr_grid_db=resolved["snr_grid_db"],
-            n_trials=resolved["n_trials"],
-            master_seed=resolved["master_seed"],
-            variants=tuple(_parse_variant(tok, protocol) for tok in resolved["variants"]),
-        )
-    except ValueError as exc:  # a ConfigError passes through with its message
-        raise ConfigError(str(exc)) from None
+    return ExperimentConfig(**_parse_document(text))
 
 
 def _fmt_value(value) -> str:
@@ -263,7 +233,7 @@ def _fmt_value(value) -> str:
 
 def resolved_text(cfg: ExperimentConfig) -> str:
     """Canonical key = value rendering of a config with defaults materialized."""
-    return "".join(f"{key} = {_fmt_value(get(cfg))}\n" for key, (_, _, get) in _SCHEMA.items())
+    return "".join(f"{key} = {_fmt_value(getattr(cfg, key))}\n" for key in _DEFAULTS)
 
 
 def config_digest(cfg: ExperimentConfig) -> str:
@@ -291,7 +261,7 @@ def _check_metrics(eta_u, eta_v, se, se_oracle) -> None:
         raise _StreamFault(f"spectral efficiency {se[i]} exceeds the oracle's {se_oracle[i]}", i)
 
 
-def _trial_records(cfg: ExperimentConfig, trial_idx: int, digest: str) -> list:
+def _trial_records(cfg: ExperimentConfig, trial_idx: int) -> list:
     chan_rng = np.random.default_rng(
         np.random.SeedSequence(cfg.master_seed, spawn_key=(0, trial_idx))
     )
@@ -314,19 +284,19 @@ def _trial_records(cfg: ExperimentConfig, trial_idx: int, digest: str) -> list:
     seeds = [int(seq.generate_state(1)[0]) for seq in seqs]
     rngs = [np.random.default_rng(seq) for seq in seqs]
     probes = None
-    if any(variant.protocol is not None for variant in cfg.variants):
+    if any(protocol is not None for protocol in cfg.variant_protocols):
         n_bs, n_ms = cfg.bs.n_elements, cfg.ms.n_elements
         probes = (draw_probes(rngs, cfg.protocol.p_bs, n_bs, n_ms),
                   draw_probes(rngs, cfg.protocol.p_ms, m, n_bs))
     noise = dpsk_noise(rngs, cfg.metrics.n_data_symbols) if m == 1 else None
 
     records = []
-    for variant in cfg.variants:
-        where = f"trial {trial_idx}, variant {variant.name}, snr_db {{}}, seed_used {{}}: {{}}"
+    for name, protocol in zip(cfg.variants, cfg.variant_protocols):
+        where = f"trial {trial_idx}, variant {name}, snr_db {{}}, seed_used {{}}: {{}}"
         try:
             beams = oracle  # one pair of beams, scored at every power of the stack
-            if variant.protocol is not None:
-                pcfg = replace(variant.protocol, tx_power_scale=tuple(rhos))
+            if protocol is not None:
+                pcfg = replace(protocol, tx_power_scale=tuple(rhos))
                 beams = run_protocol(chan, pcfg, front, sigma2, probes)
             _check_beams(beams, len(snrs))  # before scoring: a zero-norm column fails it for all
             se = spectral_efficiency(chan.h, beams.d_ms, beams.d_bs, p_ts, sigma2)
@@ -343,7 +313,7 @@ def _trial_records(cfg: ExperimentConfig, trial_idx: int, digest: str) -> list:
         except Exception as exc:  # a stacked call's failure is not one stream's: it names them all
             raise RuntimeError(where.format(snrs, seeds, exc)) from exc
         records += [
-            TrialRecord(trial_idx, variant.name, *row, digest)
+            TrialRecord(trial_idx, name, *row)
             for row in zip(snrs, eta_u.tolist(), eta_v.tolist(), se.tolist(), sers, seeds)
         ]
     return records
@@ -351,18 +321,15 @@ def _trial_records(cfg: ExperimentConfig, trial_idx: int, digest: str) -> list:
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list:
     """All trial records for a config, ordered by (variant, SNR, trial)."""
-    digest = config_digest(cfg)
     trials = range(cfg.n_trials)
     if workers > 1:
         chunk = max(1, cfg.n_trials // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_trial = list(
-                pool.map(_trial_records, repeat(cfg), trials, repeat(digest), chunksize=chunk)
-            )
+            per_trial = list(pool.map(_trial_records, repeat(cfg), trials, chunksize=chunk))
     else:
-        per_trial = [_trial_records(cfg, t, digest) for t in trials]
+        per_trial = [_trial_records(cfg, t) for t in trials]
     records = [rec for trial in per_trial for rec in trial]
-    vidx = {v.name: i for i, v in enumerate(cfg.variants)}
+    vidx = {v: i for i, v in enumerate(cfg.variants)}
     sidx = {s: i for i, s in enumerate(cfg.snr_grid_db)}
     records.sort(key=lambda r: (vidx[r.variant], sidx[r.snr_db], r.trial_index))
     return records

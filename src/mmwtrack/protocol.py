@@ -166,6 +166,8 @@ def _phase(link, d_rf, n_probes, cfg: ProtocolConfig, sigma2_n, block) -> np.nda
     optionally its own link; or one Generator, which draws one stream's block now.
     """
     if isinstance(block, np.random.Generator):
+        if link.ndim > 2 or np.ndim(cfg.tx_power_scale) > 0:
+            raise ValueError("one Generator probes one stream: draw a stack's blocks with draw_probes")
         n_rx, n_tx = link.shape[-2:]
         block = ProbeBlock(*(a[0] for a in draw_probes([block], n_probes, n_tx, n_rx)))
     if block.signs.shape[-2] != n_probes:

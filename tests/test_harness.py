@@ -1,5 +1,6 @@
 import math
 import platform
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -129,9 +130,28 @@ class TestLoadConfig:
     def test_every_key_round_trips_literally(self):
         assert resolved_text(load_config(ALL_KEYS)) == ALL_KEYS
 
-    def test_default_digest_is_pinned(self):
-        # earlier runs are keyed on this digest; a refactor must not re-key them
-        assert config_digest(load_config("")) == "f8e6932afd3d086f"
+    @pytest.mark.parametrize(
+        "text, digest",
+        [
+            ("", "f8e6932afd3d086f"),
+            (PAPER_SETUP, "f8e6932afd3d086f"),
+            (SMALL, "c4e4bdd61b58296a"),
+            (ALL_KEYS, "adb48a6795e4c022"),
+            ("n_clusters = 3\nrays_per_cluster = 4\n", "2b4c9dc3f7a6473d"),
+            ("n_bs = 0x20\nn_trials=0x3\n", "cf15a94990f2b6ca"),
+        ],
+        ids=["default", "paper-setup", "small", "all-keys", "rays-broadcast", "int-base-0"],
+    )
+    def test_default_digest_is_pinned(self, text, digest):
+        # earlier runs are keyed on these digests; a refactor must not re-key them
+        assert config_digest(load_config(text)) == digest
+
+    def test_replace_rebuilds_and_checks(self):
+        cfg = replace(load_config(SMALL), n_bs=32)
+        assert cfg.bs.n_elements == 32 and cfg.ms.n_elements == 8
+        assert "n_bs = 32\n" in resolved_text(cfg)
+        with pytest.raises(ConfigError, match="n_rf_bs"):
+            replace(cfg, n_rf_bs=99)
 
     def test_reads_from_file(self, tmp_path):
         path = tmp_path / "cfg.txt"
@@ -264,7 +284,7 @@ class TestRunExperiment:
             assert 0.0 <= r.eta_u <= 1.0 and 0.0 <= r.eta_v <= 1.0
             assert r.spectral_eff_bits >= 0.0
             assert r.ser is None or 0.0 <= r.ser <= 1.0
-        names = [v.name for v in cfg.variants]
+        names = list(cfg.variants)
         keys = [(names.index(r.variant), r.snr_db, r.trial_index) for r in records]
         assert keys == sorted(keys)
 
@@ -376,6 +396,8 @@ class TestCli:
         [
             ("multiplexing_order = 5\nn_rf_ms = 4\nvariants = pastd-hy\n", "n_rf"),
             ("multiplexing_order = 9\nn_ms = 8\nn_rf_ms = 4\nvariants = pastd-fd\n", "multiplexing_order"),
+            ("master_seed = -1\n", "master_seed"),
+            ("snr_grid_db = 0,nan\n", "snr_grid_db"),
         ],
     )
     def test_validate_rejects_setup_errors(self, tmp_path, capsys, text, key):
@@ -383,6 +405,14 @@ class TestCli:
         path.write_text(text)
         assert cli_main(["validate", "--config", str(path)]) == 2
         assert key in capsys.readouterr().err
+
+    def test_negative_seed_flag_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "cfg.txt"
+        path.write_text(ONE_TRIAL)
+        argv = ["simulate", "--config", str(path), "--out", str(tmp_path / "out"), "--seed", "-5"]
+        assert cli_main(argv) == 2
+        assert "master_seed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_config_path_containing_equals_sign(self, tmp_path, capsys):
         path = tmp_path / "run=1" / "cfg.txt"

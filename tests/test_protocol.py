@@ -241,6 +241,18 @@ class TestRunProtocol:
         with pytest.raises(ValueError):
             small_cfg(warmup=30)
 
+    def test_one_generator_rejects_stacked_powers(self):
+        # one Generator draws one stream's block; a stack's blocks come from draw_probes
+        cfg = small_cfg(tx_power_scale=(0.5, 1.0, 2.0))
+        with pytest.raises(ValueError, match="draw_probes"):
+            run_protocol(rank1_channel(), cfg, None, 0.3, np.random.default_rng(0))
+
+    def test_one_generator_rejects_stacked_precoders(self):
+        # three precoders are three streams, and each needs its own probe block
+        d_ms = np.full((3, 8, 1), 1.0 / math.sqrt(8), dtype=complex)
+        with pytest.raises(ValueError, match="draw_probes"):
+            run_phase_b(rank1_channel(), d_ms, small_cfg(), None, 0.3, np.random.default_rng(0))
+
 
 class TestProbingContract:
     """The tracked stream is R = sqrt(rho) S link^T + sqrt(sigma2/2) N, drawn as blocks."""
