@@ -117,6 +117,16 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from None
 
     def _build(self):
+        for f in fields(self):
+            value = getattr(self, f.name, ())  # the model objects are not built yet
+            entries = value if isinstance(value, tuple) else (value,)
+            if not all(math.isfinite(x) for x in entries if isinstance(x, float)):
+                raise ConfigError(f"{f.name}: non-finite value in {_fmt_value(value)!r}")
+        for x in self.snr_grid_db:
+            try:
+                10.0 ** (x / 10.0)
+            except OverflowError:
+                raise ConfigError(f"snr_grid_db: {_fmt_value(x)} dB overflows as a power ratio") from None
         if len(self.rays_per_cluster) == 1:
             object.__setattr__(self, "rays_per_cluster", self.rays_per_cluster * self.n_clusters)
         bs = ArrayConfig(self.n_bs, self.element_spacing_wl)
@@ -168,8 +178,6 @@ class ExperimentConfig:
             raise ConfigError(f"n_trials must be >= 1, got {self.n_trials}")
         if len(self.snr_grid_db) == 0:
             raise ConfigError("snr_grid_db must be nonempty")
-        if not all(math.isfinite(x) for x in self.snr_grid_db):
-            raise ConfigError(f"snr_grid_db: non-finite point in {_fmt_value(self.snr_grid_db)!r}")
         if len(self.variants) == 0:
             raise ConfigError("variants must be nonempty")
         if self.master_seed < 0:
@@ -265,16 +273,19 @@ def _trial_records(cfg: ExperimentConfig, trial_idx: int) -> list:
     chan_rng = np.random.default_rng(
         np.random.SeedSequence(cfg.master_seed, spawn_key=(0, trial_idx))
     )
-    chan = sample_channel(cfg.channel, cfg.bs, cfg.ms, chan_rng)
-    sigma2 = noise_variance(cfg.channel)
-    h2 = float(np.linalg.norm(chan.h) ** 2)
+    snrs = cfg.snr_grid_db
+    try:
+        chan = sample_channel(cfg.channel, cfg.bs, cfg.ms, chan_rng)
+        sigma2 = noise_variance(cfg.channel)
+        h2 = float(np.linalg.norm(chan.h) ** 2)
+        rhos = [10.0 ** (x / 10.0) * cfg.ms.n_elements * sigma2 / h2 if h2 > 0 else 1.0 for x in snrs]
+    except Exception as exc:
+        raise RuntimeError(f"trial {trial_idx}, channel draw: {exc}") from exc
+    p_ts = tuple(rho * cfg.metrics.p_t_bs for rho in rhos)
     m = cfg.protocol.m
     u1 = chan.u[:, 0]
     v1 = chan.v[:, 0]
     front = make_front_end(cfg.bs, cfg.ms, cfg.protocol)
-    snrs = cfg.snr_grid_db
-    rhos = [10.0 ** (x / 10.0) * cfg.ms.n_elements * sigma2 / h2 if h2 > 0 else 1.0 for x in snrs]
-    p_ts = tuple(rho * cfg.metrics.p_t_bs for rho in rhos)
     oracle = EstimatedBeamformers(d_ms=chan.u[:, :m], d_bs=chan.v[:, :m])
 
     # one stream per SNR point, shared by every variant (common random numbers):
@@ -283,11 +294,9 @@ def _trial_records(cfg: ExperimentConfig, trial_idx: int) -> list:
             for si in range(len(snrs))]
     seeds = [int(seq.generate_state(1)[0]) for seq in seqs]
     rngs = [np.random.default_rng(seq) for seq in seqs]
-    probes = None
-    if any(protocol is not None for protocol in cfg.variant_protocols):
-        n_bs, n_ms = cfg.bs.n_elements, cfg.ms.n_elements
-        probes = (draw_probes(rngs, cfg.protocol.p_bs, n_bs, n_ms),
-                  draw_probes(rngs, cfg.protocol.p_ms, m, n_bs))
+    n_bs, n_ms = cfg.bs.n_elements, cfg.ms.n_elements
+    probes = (draw_probes(rngs, cfg.protocol.p_bs, n_bs, n_ms),
+              draw_probes(rngs, cfg.protocol.p_ms, m, n_bs))
     noise = dpsk_noise(rngs, cfg.metrics.n_data_symbols) if m == 1 else None
 
     records = []
@@ -328,11 +337,8 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list:
             per_trial = list(pool.map(_trial_records, repeat(cfg), trials, chunksize=chunk))
     else:
         per_trial = [_trial_records(cfg, t) for t in trials]
-    records = [rec for trial in per_trial for rec in trial]
-    vidx = {v: i for i, v in enumerate(cfg.variants)}
-    sidx = {s: i for i, s in enumerate(cfg.snr_grid_db)}
-    records.sort(key=lambda r: (vidx[r.variant], sidx[r.snr_db], r.trial_index))
-    return records
+    # each trial lists its records in (variant, SNR) order: the k-th of every trial, in trial order
+    return [rec for same_k in zip(*per_trial) for rec in same_k]
 
 
 def _fmt_float(x) -> str:

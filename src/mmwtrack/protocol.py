@@ -59,11 +59,10 @@ class ProtocolConfig:
     tracker: TrackerSpec = field(default_factory=TrackerSpec)
 
     def __post_init__(self):
-        if self.p_bs < 1 or self.p_ms < 1:
-            raise ValueError("p_bs and p_ms must be positive")
-        if not 0 <= self.warmup < min(self.p_bs, self.p_ms):
+        if not 1 <= self.warmup < min(self.p_bs, self.p_ms):
             raise ValueError(
-                f"warmup must satisfy 0 <= warmup < min(p_bs, p_ms), got {self.warmup}"
+                f"warmup must satisfy 1 <= warmup < min(p_bs, p_ms) = {min(self.p_bs, self.p_ms)}, "
+                f"got {self.warmup}"
             )
         if self.m < 1:
             raise ValueError("m must be positive")
@@ -106,22 +105,6 @@ def make_front_end(bs: ArrayConfig, ms: ArrayConfig, cfg: ProtocolConfig) -> Hyb
         d_bs_rf=build_rf_grid(bs, cfg.n_rf_bs),
         d_ms_rf=build_rf_grid(ms, cfg.n_rf_ms),
     )
-
-
-def effective_channel(h: np.ndarray, front: HybridFrontEnd) -> np.ndarray:
-    """Composite channel seen between the two analog combiners."""
-    return front.d_ms_rf.conj().T @ h @ front.d_bs_rf
-
-
-def compose_hybrid(front: HybridFrontEnd, d_bb_ms, d_bb_bs) -> EstimatedBeamformers:
-    """Multiply RF and baseband factors, normalizing full columns to unit norm.
-
-    The baseband factors are rescaled by the same amounts so the factorization
-    d = d_rf @ d_bb holds exactly for the returned matrices.
-    """
-    d_ms, d_ms_bb = _lift_and_normalize(front.d_ms_rf, d_bb_ms)
-    d_bs, d_bs_bb = _lift_and_normalize(front.d_bs_rf, d_bb_bs)
-    return EstimatedBeamformers(d_ms=d_ms, d_bs=d_bs, d_ms_bb=d_ms_bb, d_bs_bb=d_bs_bb)
 
 
 def _lift_and_normalize(d_rf, d_bb):
@@ -180,12 +163,7 @@ def _phase(link, d_rf, n_probes, cfg: ProtocolConfig, sigma2_n, block) -> np.nda
     parts[..., 0::2] += math.sqrt(sigma2_n / 2.0) * block.re
     parts[..., 1::2] += math.sqrt(sigma2_n / 2.0) * block.im
     r = parts.view(complex) if d_rf is None else parts.view(complex) @ d_rf.conj()
-    lead, n = r.shape[:-2], r.shape[-1]
-    if cfg.warmup >= 1:
-        w0, lam0 = init_from_samples(r[..., : cfg.warmup, :], cfg.m)
-    else:
-        w0 = np.broadcast_to(np.eye(n)[:, : cfg.m], lead + (n, cfg.m))
-        lam0 = np.ones(lead + (cfg.m,))
+    w0, lam0 = init_from_samples(r[..., : cfg.warmup, :], cfg.m)
     spec = cfg.tracker
     if spec.kind == TRACKER_PASTD:
         tracker = PastdTracker(w=w0, lam=lam0, beta=spec.beta)

@@ -253,6 +253,14 @@ class TestRunExperiment:
         assert f"seed_used {int(seq.generate_state(1)[0])}:" in message
         assert "snr_db 0.0" not in message
 
+    def test_channel_draw_error_names_its_trial(self, monkeypatch):
+        def broken(*args):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(harness, "sample_channel", broken)
+        with pytest.raises(RuntimeError, match="trial 0, channel draw: SVD did not converge"):
+            run_experiment(load_config(ONE_TRIAL))
+
     def test_oracle_variant_is_exact(self):
         cfg = load_config("n_trials = 1\nsnr_grid_db = 10\nvariants = oracle\nn_bs = 16\nn_ms = 8\nn_rf_bs = 8\nn_rf_ms = 4\n")
         records = run_experiment(cfg)
@@ -319,6 +327,17 @@ class TestSharedDraws:
         for r in records:
             seeds.setdefault(r.snr_db, set()).add(r.seed_used)
         assert all(len(used) == 1 for used in seeds.values()) and len(seeds) == 2
+
+    def test_oracle_rows_do_not_depend_on_the_variant_list(self):
+        def oracle_rows(variants):
+            text = SMALL.replace("snr_grid_db = 0,10", "snr_grid_db = -10,0")
+            text = text.replace("variants = pastd-fd,ooja-hy,oracle", f"variants = {variants}")
+            return {(r.trial_index, r.snr_db): (r.ser, r.eta_u, r.eta_v, r.spectral_eff_bits, r.seed_used)
+                    for r in run_experiment(load_config(text)) if r.variant == "oracle"}
+
+        alone = oracle_rows("oracle")
+        assert len(alone) == 3 * 2
+        assert oracle_rows("oracle,pastd-fd") == alone
 
 
 class TestEmitCsv:
@@ -398,6 +417,11 @@ class TestCli:
             ("multiplexing_order = 9\nn_ms = 8\nn_rf_ms = 4\nvariants = pastd-fd\n", "multiplexing_order"),
             ("master_seed = -1\n", "master_seed"),
             ("snr_grid_db = 0,nan\n", "snr_grid_db"),
+            ("link_distance_m = nan\n", "link_distance_m"),
+            ("ooja_delta = inf\n", "ooja_delta"),
+            ("noise_figure_db = nan\n", "noise_figure_db"),
+            ("snr_grid_db = 0,4000\n", "snr_grid_db"),  # finite, but 10^(x/10) overflows
+            ("warmup = 0\n", "warmup"),
         ],
     )
     def test_validate_rejects_setup_errors(self, tmp_path, capsys, text, key):

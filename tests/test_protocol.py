@@ -11,8 +11,6 @@ from mmwtrack import (
     ProtocolConfig,
     assemble_channel,
     build_rf_grid,
-    compose_hybrid,
-    effective_channel,
     make_front_end,
     normalized_correlation,
     run_phase_a,
@@ -20,7 +18,7 @@ from mmwtrack import (
     run_protocol,
     steering_vector,
 )
-from util import capture_streams, rand_unitary
+from util import capture_streams
 
 
 def rank1_channel(n_ms=8, n_bs=16, aoa=0.3, aod=-0.5, gain=1.0 + 0.5j):
@@ -108,17 +106,6 @@ class TestPhaseB:
 
 
 class TestEffectiveChannel:
-    def test_definition(self):
-        rng = np.random.default_rng(2)
-        h = rng.standard_normal((8, 16)) + 1j * rng.standard_normal((8, 16))
-        front = make_front_end(ArrayConfig(16), ArrayConfig(8), small_cfg(mode="hy"))
-        expected = front.d_ms_rf.conj().T @ h @ front.d_bs_rf
-        np.testing.assert_array_equal(effective_channel(h, front), expected)
-
-    def test_zero_channel(self):
-        front = make_front_end(ArrayConfig(16), ArrayConfig(8), small_cfg(mode="hy"))
-        assert not np.any(effective_channel(np.zeros((8, 16)), front))
-
     def test_rank1_on_grid_peaks_at_matching_beam(self):
         cfg = small_cfg(mode="hy")
         bs, ms = ArrayConfig(64), ArrayConfig(32)
@@ -127,7 +114,7 @@ class TestEffectiveChannel:
         theta_ms = -math.pi / 2 + math.pi * i_ms / cfg.n_rf_ms
         theta_bs = -math.pi / 2 + math.pi * i_bs / cfg.n_rf_bs
         h = np.outer(steering_vector(ms, theta_ms), steering_vector(bs, theta_bs).conj())
-        h_eff = np.abs(effective_channel(h, front))
+        h_eff = np.abs(front.d_ms_rf.conj().T @ h @ front.d_bs_rf)
         assert np.unravel_index(np.argmax(h_eff), h_eff.shape) == (i_ms, i_bs)
 
 
@@ -139,20 +126,20 @@ class TestComposeHybrid:
         e2_ms[2, 0] = 1.0
         e3_bs = np.zeros((cfg.n_rf_bs, 1), dtype=complex)
         e3_bs[3, 0] = 1.0
-        beams = compose_hybrid(front, e2_ms, e3_bs)
-        np.testing.assert_allclose(beams.d_ms[:, 0], front.d_ms_rf[:, 2], atol=1e-14)
-        np.testing.assert_allclose(beams.d_bs[:, 0], front.d_bs_rf[:, 3], atol=1e-14)
+        d_ms, _ = protocol._lift_and_normalize(front.d_ms_rf, e2_ms)
+        d_bs, _ = protocol._lift_and_normalize(front.d_bs_rf, e3_bs)
+        np.testing.assert_allclose(d_ms[:, 0], front.d_ms_rf[:, 2], atol=1e-14)
+        np.testing.assert_allclose(d_bs[:, 0], front.d_bs_rf[:, 3], atol=1e-14)
 
     def test_zero_baseband_rejected(self):
         front = make_front_end(ArrayConfig(16), ArrayConfig(8), small_cfg(mode="hy"))
-        with pytest.raises(ValueError):
-            compose_hybrid(front, np.zeros((4, 1)), np.ones((8, 1)))
+        with pytest.raises(ValueError, match="zero beamformer column"):
+            protocol._lift_and_normalize(front.d_ms_rf, np.zeros((4, 1)))
 
     def test_factorization_invariant(self):
-        rng = np.random.default_rng(3)
         cfg = small_cfg(mode="hy", m=2)
         front = make_front_end(ArrayConfig(16), ArrayConfig(8), cfg)
-        beams = compose_hybrid(front, rand_unitary(4, 2, rng), rand_unitary(8, 2, rng))
+        beams = run_protocol(rank1_channel(), cfg, front, 0.1, np.random.default_rng(3))
         assert np.linalg.norm(beams.d_ms - front.d_ms_rf @ beams.d_ms_bb) < 1e-12
         assert np.linalg.norm(beams.d_bs - front.d_bs_rf @ beams.d_bs_bb) < 1e-12
         np.testing.assert_allclose(np.linalg.norm(beams.d_ms, axis=0), 1.0, atol=1e-12)
