@@ -4,12 +4,9 @@ from .channel import (
     ArrayConfig,
     ChannelParams,
     ChannelRealization,
-    LogDistancePathLoss,
     RayParams,
     assemble_channel,
     dominant_svd,
-    noise_variance,
-    path_loss_linear,
     sample_channel,
     steering_vector,
 )
@@ -45,7 +42,6 @@ __all__ = [
     "EstimatedBeamformers",
     "ExperimentConfig",
     "HybridFrontEnd",
-    "LogDistancePathLoss",
     "MetricConfig",
     "OojaTracker",
     "PastdTracker",
@@ -63,9 +59,7 @@ __all__ = [
     "init_from_samples",
     "load_config",
     "make_front_end",
-    "noise_variance",
     "normalized_correlation",
-    "path_loss_linear",
     "resolved_text",
     "run_experiment",
     "run_phase_a",

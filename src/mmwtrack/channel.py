@@ -9,9 +9,17 @@ estimation algorithms can be scored against ground truth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+# The link budget is fixed: 72 dB + 29.2 log10(d) of path loss at d = 50 m, and
+# -174 dBm/Hz of thermal noise over 500 MHz with a 3 dB noise figure. Each SNR
+# point sets the transmit power from ||H||^2 and the noise power, so both
+# constants cancel out of every probe, tracker step and metric; they act only
+# through OOJA's step, which is not scaled to the sample power.
+PATH_GAIN = 10.0 ** (-(72.0 + 10.0 * 2.92 * math.log10(50.0)) / 10.0)
+NOISE_VARIANCE = 10.0 ** ((-174.0 - 30.0) / 10.0) * 500e6 * 10.0 ** (3.0 / 10.0)
 
 
 @dataclass(frozen=True)
@@ -29,27 +37,13 @@ class ArrayConfig:
 
 
 @dataclass(frozen=True)
-class LogDistancePathLoss:
-    """PL_dB(d) = intercept_db + 10 * exponent * log10(d)."""
-
-    intercept_db: float = 72.0
-    exponent: float = 2.92
-
-
-@dataclass(frozen=True)
 class ChannelParams:
     """Scenario parameters for the clustered channel model."""
 
     n_clusters: int = 5
     rays_per_cluster: tuple = (10, 10, 10, 10, 10)
-    carrier_freq_hz: float = 73e9
-    link_distance_m: float = 50.0
     los_probability: float = 0.0
-    path_loss_model: LogDistancePathLoss = field(default_factory=LogDistancePathLoss)
     cluster_angle_spread_deg: float = 5.0
-    noise_psd_dbm_hz: float = -174.0
-    noise_figure_db: float = 3.0
-    bandwidth_hz: float = 500e6
 
     def __post_init__(self):
         if self.n_clusters < 1:
@@ -63,20 +57,8 @@ class ChannelParams:
             raise ValueError("rays_per_cluster entries must be positive")
         if not 0.0 <= self.los_probability <= 1.0:
             raise ValueError(f"los_probability must be in [0, 1], got {self.los_probability}")
-        if self.carrier_freq_hz <= 0:
-            raise ValueError("carrier_freq_hz must be > 0")
-        if self.link_distance_m <= 0:
-            raise ValueError("link_distance_m must be > 0")
         if self.cluster_angle_spread_deg < 0:
             raise ValueError("cluster_angle_spread_deg must be >= 0")
-        if self.bandwidth_hz <= 0:
-            raise ValueError("bandwidth_hz must be > 0")
-
-
-def noise_variance(params: ChannelParams) -> float:
-    """Thermal noise power over the signal bandwidth including the noise figure."""
-    psd_w_hz = 10.0 ** ((params.noise_psd_dbm_hz - 30.0) / 10.0)
-    return psd_w_hz * params.bandwidth_hz * 10.0 ** (params.noise_figure_db / 10.0)
 
 
 @dataclass(frozen=True)
@@ -121,15 +103,6 @@ def steering_matrix(array: ArrayConfig, angles_rad) -> np.ndarray:
 def steering_vector(array: ArrayConfig, angle_rad: float) -> np.ndarray:
     """Unit-norm ULA response vector at the given azimuth angle."""
     return steering_matrix(array, (angle_rad,))[:, 0]
-
-
-def path_loss_linear(params: ChannelParams, distance_m: float) -> float:
-    """Linear-scale attenuation of the log-distance path-loss model."""
-    if distance_m <= 0:
-        raise ValueError(f"distance_m must be > 0, got {distance_m}")
-    model = params.path_loss_model
-    pl_db = model.intercept_db + 10.0 * model.exponent * math.log10(distance_m)
-    return 10.0 ** (-pl_db / 10.0)
 
 
 def _fix_phases(u: np.ndarray, v: np.ndarray | None = None):
@@ -221,12 +194,11 @@ def sample_channel(
 
     Cluster central angles are uniform on [-pi/2, pi/2] at both ends; per-ray
     angles add a bounded uniform offset (clipped back into the visible range).
-    Ray gains are standard circular complex Gaussians; all rays share the
-    link-distance attenuation.
+    Ray gains are standard circular complex Gaussians; every ray and the LOS
+    term carry the attenuation PATH_GAIN.
     """
     total_rays = sum(params.rays_per_cluster)
     gamma = math.sqrt(bs.n_elements * ms.n_elements / total_rays)
-    attn = path_loss_linear(params, params.link_distance_m)
     spread = math.radians(params.cluster_angle_spread_deg)
 
     rays = []
@@ -237,7 +209,7 @@ def sample_channel(
             aod = min(max(center_bs + rng.uniform(-spread, spread), -math.pi / 2), math.pi / 2)
             aoa = min(max(center_ms + rng.uniform(-spread, spread), -math.pi / 2), math.pi / 2)
             gain = (rng.standard_normal() + 1j * rng.standard_normal()) / math.sqrt(2.0)
-            rays.append(RayParams(gain=gain, attenuation_linear=attn, aod_bs_rad=aod, aoa_ms_rad=aoa))
+            rays.append(RayParams(gain=gain, attenuation_linear=PATH_GAIN, aod_bs_rad=aod, aoa_ms_rad=aoa))
 
     los_present = bool(rng.uniform() < params.los_probability)
     los_phase = float(rng.uniform(0.0, 2.0 * math.pi))
@@ -253,5 +225,5 @@ def sample_channel(
         los_phase_rad=los_phase,
         los_aoa_ms_rad=los_aoa,
         los_aod_bs_rad=los_aod,
-        los_attenuation_linear=attn,
+        los_attenuation_linear=PATH_GAIN,
     )

@@ -19,13 +19,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .channel import (
-    ArrayConfig,
-    ChannelParams,
-    LogDistancePathLoss,
-    noise_variance,
-    sample_channel,
-)
+from .channel import NOISE_VARIANCE, ArrayConfig, ChannelParams, sample_channel
 from .evaluation import MetricConfig, dpsk_noise, dpsk_ser_trial, normalized_correlation
 from .evaluation import spectral_efficiency, spectral_efficiency_bound
 from .protocol import (
@@ -34,6 +28,7 @@ from .protocol import (
     TRACKER_OOJA,
     TRACKER_PASTD,
     EstimatedBeamformers,
+    HybridFrontEnd,
     ProtocolConfig,
     TrackerSpec,
     draw_probes,
@@ -69,7 +64,7 @@ class ExperimentConfig:
     and tuples as comma lists of the default's element type. Construction (also
     through dataclasses.replace) checks the keys, raising ConfigError, and builds
     the model objects below; variant_protocols holds each variant's protocol,
-    None for the exact-SVD oracle.
+    None for the exact-SVD oracle, and front_end the hybrid variants' analog combiners.
     """
 
     n_bs: int = 100
@@ -77,15 +72,8 @@ class ExperimentConfig:
     element_spacing_wl: float = 0.5
     n_clusters: int = 5
     rays_per_cluster: tuple = (10,)  # one entry broadcasts to every cluster
-    carrier_freq_ghz: float = 73.0
-    link_distance_m: float = 50.0
     los_probability: float = 0.0
-    path_loss_intercept_db: float = 72.0
-    path_loss_exponent: float = 2.92
     cluster_angle_spread_deg: float = 5.0
-    noise_psd_dbm_hz: float = -174.0
-    noise_figure_db: float = 3.0
-    bandwidth_mhz: float = 500.0
     p_bs: int = 30
     p_ms: int = 30
     warmup: int = 10
@@ -109,6 +97,7 @@ class ExperimentConfig:
     protocol: ProtocolConfig = field(init=False, repr=False, compare=False)
     metrics: MetricConfig = field(init=False, repr=False, compare=False)
     variant_protocols: tuple = field(init=False, repr=False, compare=False)
+    front_end: HybridFrontEnd = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         try:
@@ -124,24 +113,17 @@ class ExperimentConfig:
                 raise ConfigError(f"{f.name}: non-finite value in {_fmt_value(value)!r}")
         for x in self.snr_grid_db:
             try:
-                10.0 ** (x / 10.0)
+                ratio = 10.0 ** (x / 10.0)
             except OverflowError:
                 raise ConfigError(f"snr_grid_db: {_fmt_value(x)} dB overflows as a power ratio") from None
+            if ratio == 0.0:
+                raise ConfigError(f"snr_grid_db: {_fmt_value(x)} dB underflows to a zero power ratio")
         if len(self.rays_per_cluster) == 1:
             object.__setattr__(self, "rays_per_cluster", self.rays_per_cluster * self.n_clusters)
         bs = ArrayConfig(self.n_bs, self.element_spacing_wl)
         ms = ArrayConfig(self.n_ms, self.element_spacing_wl)
         channel = ChannelParams(
-            n_clusters=self.n_clusters,
-            rays_per_cluster=self.rays_per_cluster,
-            carrier_freq_hz=self.carrier_freq_ghz * 1e9,
-            link_distance_m=self.link_distance_m,
-            los_probability=self.los_probability,
-            path_loss_model=LogDistancePathLoss(self.path_loss_intercept_db, self.path_loss_exponent),
-            cluster_angle_spread_deg=self.cluster_angle_spread_deg,
-            noise_psd_dbm_hz=self.noise_psd_dbm_hz,
-            noise_figure_db=self.noise_figure_db,
-            bandwidth_hz=self.bandwidth_mhz * 1e6,
+            self.n_clusters, self.rays_per_cluster, self.los_probability, self.cluster_angle_spread_deg
         )
         protocol = ProtocolConfig(
             p_bs=self.p_bs,
@@ -183,7 +165,8 @@ class ExperimentConfig:
         if self.master_seed < 0:
             raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
         for name, value in (("bs", bs), ("ms", ms), ("channel", channel), ("protocol", protocol),
-                            ("metrics", metrics), ("variant_protocols", tuple(variant_protocols))):
+                            ("metrics", metrics), ("variant_protocols", tuple(variant_protocols)),
+                            ("front_end", make_front_end(bs, ms, protocol))):
             object.__setattr__(self, name, value)
 
 
@@ -274,18 +257,17 @@ def _trial_records(cfg: ExperimentConfig, trial_idx: int) -> list:
         np.random.SeedSequence(cfg.master_seed, spawn_key=(0, trial_idx))
     )
     snrs = cfg.snr_grid_db
+    n_bs, n_ms = cfg.bs.n_elements, cfg.ms.n_elements
     try:
         chan = sample_channel(cfg.channel, cfg.bs, cfg.ms, chan_rng)
-        sigma2 = noise_variance(cfg.channel)
         h2 = float(np.linalg.norm(chan.h) ** 2)
-        rhos = [10.0 ** (x / 10.0) * cfg.ms.n_elements * sigma2 / h2 if h2 > 0 else 1.0 for x in snrs]
+        rhos = [10.0 ** (x / 10.0) * n_ms * NOISE_VARIANCE / h2 if h2 > 0 else 1.0 for x in snrs]
     except Exception as exc:
         raise RuntimeError(f"trial {trial_idx}, channel draw: {exc}") from exc
     p_ts = tuple(rho * cfg.metrics.p_t_bs for rho in rhos)
     m = cfg.protocol.m
     u1 = chan.u[:, 0]
     v1 = chan.v[:, 0]
-    front = make_front_end(cfg.bs, cfg.ms, cfg.protocol)
     oracle = EstimatedBeamformers(d_ms=chan.u[:, :m], d_bs=chan.v[:, :m])
 
     # one stream per SNR point, shared by every variant (common random numbers):
@@ -294,7 +276,6 @@ def _trial_records(cfg: ExperimentConfig, trial_idx: int) -> list:
             for si in range(len(snrs))]
     seeds = [int(seq.generate_state(1)[0]) for seq in seqs]
     rngs = [np.random.default_rng(seq) for seq in seqs]
-    n_bs, n_ms = cfg.bs.n_elements, cfg.ms.n_elements
     probes = (draw_probes(rngs, cfg.protocol.p_bs, n_bs, n_ms),
               draw_probes(rngs, cfg.protocol.p_ms, m, n_bs))
     noise = dpsk_noise(rngs, cfg.metrics.n_data_symbols) if m == 1 else None
@@ -306,16 +287,17 @@ def _trial_records(cfg: ExperimentConfig, trial_idx: int) -> list:
             beams = oracle  # one pair of beams, scored at every power of the stack
             if protocol is not None:
                 pcfg = replace(protocol, tx_power_scale=tuple(rhos))
-                beams = run_protocol(chan, pcfg, front, sigma2, probes)
+                beams = run_protocol(chan, pcfg, cfg.front_end, NOISE_VARIANCE, probes)
             _check_beams(beams, len(snrs))  # before scoring: a zero-norm column fails it for all
-            se = spectral_efficiency(chan.h, beams.d_ms, beams.d_bs, p_ts, sigma2)
+            se = spectral_efficiency(chan.h, beams.d_ms, beams.d_bs, p_ts, NOISE_VARIANCE)
             eta_u = np.broadcast_to(normalized_correlation(u1, beams.d_ms[..., 0]), se.shape)
             eta_v = np.broadcast_to(normalized_correlation(v1, beams.d_bs[..., 0]), se.shape)
-            _check_metrics(eta_u, eta_v, se, spectral_efficiency_bound(chan.sigma[:m], p_ts, sigma2))
+            bound = spectral_efficiency_bound(chan.sigma[:m], p_ts, NOISE_VARIANCE)
+            _check_metrics(eta_u, eta_v, se, bound)
             sers = [None] * len(snrs)
             if m == 1:
                 mcfg = replace(cfg.metrics, p_t_bs=p_ts)
-                sers = dpsk_ser_trial(chan, beams, mcfg, sigma2, noise).tolist()
+                sers = dpsk_ser_trial(chan, beams, mcfg, NOISE_VARIANCE, noise).tolist()
         except _StreamFault as exc:  # a check names the stream it failed on
             fault, i = exc.args
             raise RuntimeError(where.format(snrs[i], seeds[i], fault)) from exc

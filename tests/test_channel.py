@@ -7,26 +7,20 @@ import pytest
 from mmwtrack import (
     ArrayConfig,
     ChannelParams,
-    LogDistancePathLoss,
     RayParams,
     assemble_channel,
     dominant_svd,
-    noise_variance,
-    path_loss_linear,
     sample_channel,
     steering_vector,
 )
-from mmwtrack.channel import _fix_phases, steering_matrix
-
-UNIT_LOSS = LogDistancePathLoss(intercept_db=0.0, exponent=0.0)
+from mmwtrack.channel import NOISE_VARIANCE, PATH_GAIN, _fix_phases, steering_matrix
 
 
-def unit_loss_params(**kw):
+def one_ray_params(**kw):
     defaults = dict(
         n_clusters=1,
         rays_per_cluster=(1,),
         los_probability=0.0,
-        path_loss_model=UNIT_LOSS,
         cluster_angle_spread_deg=0.0,
     )
     defaults.update(kw)
@@ -68,32 +62,22 @@ class TestSteeringVector:
 
 
 class TestPathLoss:
-    def test_zero_loss(self):
-        assert path_loss_linear(unit_loss_params(), 50.0) == 1.0
-
-    def test_intercept_only(self):
-        params = unit_loss_params(path_loss_model=LogDistancePathLoss(70.0, 0.0))
-        assert path_loss_linear(params, 1.0) == pytest.approx(1e-7)
-
     def test_log_distance_against_mpmath(self):
-        params = unit_loss_params(path_loss_model=LogDistancePathLoss(70.0, 2.9))
+        # 72 dB + 29.2 log10(d) at d = 50 m
         with mpmath.workdps(50):
-            pl_db = mpmath.mpf(70) + 10 * mpmath.mpf("2.9") * mpmath.log10(50)
+            pl_db = mpmath.mpf(72) + 10 * mpmath.mpf("2.92") * mpmath.log10(50)
             expected = float(mpmath.power(10, -pl_db / 10))
-        assert path_loss_linear(params, 50.0) == pytest.approx(expected, rel=1e-14)
-
-    def test_nonpositive_distance(self):
-        with pytest.raises(ValueError):
-            path_loss_linear(unit_loss_params(), 0.0)
+        assert PATH_GAIN == pytest.approx(expected, rel=1e-14)
 
 
 class TestSampleChannel:
     def test_single_ray_rank1(self):
         rng = np.random.default_rng(3)
         bs, ms = ArrayConfig(16), ArrayConfig(8)
-        ch = sample_channel(unit_loss_params(), bs, ms, rng)
+        ch = sample_channel(one_ray_params(), bs, ms, rng)
         alpha = ch.rays[0].gain
-        assert np.linalg.norm(ch.h) == pytest.approx(math.sqrt(16 * 8) * abs(alpha), rel=1e-12)
+        gain = np.linalg.norm(ch.h) / math.sqrt(PATH_GAIN)
+        assert gain == pytest.approx(math.sqrt(16 * 8) * abs(alpha), rel=1e-12)
         assert ch.sigma[1] < 1e-12 * ch.sigma[0]
         a_ms = steering_vector(ms, ch.rays[0].aoa_ms_rad)
         a_bs = steering_vector(bs, ch.rays[0].aod_bs_rad)
@@ -118,9 +102,9 @@ class TestSampleChannel:
         assert ch.sigma[1] < 1e-12 * ch.sigma[0]
 
     def test_gamma_normalization_monte_carlo(self):
-        # sample mean of ||H||_F^2 / (N_bs * N_ms) over unit-attenuation draws
+        # sample mean of ||H||_F^2 / (N_bs * N_ms * PATH_GAIN)
         rng = np.random.default_rng(7)
-        params = unit_loss_params(
+        params = one_ray_params(
             n_clusters=2, rays_per_cluster=(3, 4), cluster_angle_spread_deg=5.0
         )
         bs, ms = ArrayConfig(8), ArrayConfig(8)
@@ -129,10 +113,10 @@ class TestSampleChannel:
         for _ in range(n_draws):
             ch = sample_channel(params, bs, ms, rng)
             acc += np.linalg.norm(ch.h) ** 2
-        assert 0.97 <= acc / n_draws / 64.0 <= 1.03
+        assert 0.97 <= acc / n_draws / 64.0 / PATH_GAIN <= 1.03
 
     def test_seed_reproducible(self):
-        params = unit_loss_params(n_clusters=2, rays_per_cluster=(2, 3), los_probability=0.5)
+        params = one_ray_params(n_clusters=2, rays_per_cluster=(2, 3), los_probability=0.5)
         bs, ms = ArrayConfig(12), ArrayConfig(6)
         a = sample_channel(params, bs, ms, np.random.default_rng(11))
         b = sample_channel(params, bs, ms, np.random.default_rng(11))
@@ -224,7 +208,7 @@ def test_fix_phases_on_a_stack_matches_the_per_column_loop():
 def test_noise_variance_matches_link_budget():
     # -174 dBm/Hz over 500 MHz with a 3 dB noise figure
     expected = 10 ** ((-174 - 30) / 10) * 500e6 * 10 ** 0.3
-    assert noise_variance(ChannelParams()) == pytest.approx(expected, rel=1e-12)
+    assert NOISE_VARIANCE == pytest.approx(expected, rel=1e-12)
 
 
 def test_invalid_params_rejected():

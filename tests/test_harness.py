@@ -1,6 +1,6 @@
 import math
 import platform
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -9,10 +9,10 @@ import pytest
 from mmwtrack import harness
 from mmwtrack import (
     ConfigError,
+    ExperimentConfig,
     config_digest,
     emit_csv,
     load_config,
-    make_front_end,
     resolved_text,
     run_experiment,
 )
@@ -41,10 +41,6 @@ n_rf_ms = 10
 p_bs = 30
 p_ms = 30
 warmup = 10
-carrier_freq_ghz = 73
-bandwidth_mhz = 500
-link_distance_m = 50
-noise_figure_db = 3
 """
 
 # Every key at a non-default value, pairwise distinct and exactly representable,
@@ -55,15 +51,8 @@ n_ms = 12
 element_spacing_wl = 0.375
 n_clusters = 3
 rays_per_cluster = 2,4,6
-carrier_freq_ghz = 28.5
-link_distance_m = 75.25
 los_probability = 0.125
-path_loss_intercept_db = 61.5
-path_loss_exponent = 2.25
 cluster_angle_spread_deg = 7.5
-noise_psd_dbm_hz = -173.5
-noise_figure_db = 4.5
-bandwidth_mhz = 250.75
 p_bs = 40
 p_ms = 36
 warmup = 14
@@ -89,7 +78,7 @@ class TestLoadConfig:
         assert cfg.bs.n_elements == 100 and cfg.ms.n_elements == 30
         assert cfg.channel.n_clusters == 5
         assert cfg.channel.rays_per_cluster == (10,) * 5
-        assert cfg.channel.carrier_freq_hz == 73e9
+        assert cfg.channel.los_probability == 0.0 and cfg.channel.cluster_angle_spread_deg == 5.0
         assert cfg.protocol.p_bs == 30 and cfg.protocol.warmup == 10
         assert cfg.protocol.n_rf_bs == 20 and cfg.protocol.n_rf_ms == 10
         assert cfg.protocol.tracker.beta == 0.95 and cfg.protocol.tracker.delta == 0.01
@@ -133,12 +122,12 @@ class TestLoadConfig:
     @pytest.mark.parametrize(
         "text, digest",
         [
-            ("", "f8e6932afd3d086f"),
-            (PAPER_SETUP, "f8e6932afd3d086f"),
-            (SMALL, "c4e4bdd61b58296a"),
-            (ALL_KEYS, "adb48a6795e4c022"),
-            ("n_clusters = 3\nrays_per_cluster = 4\n", "2b4c9dc3f7a6473d"),
-            ("n_bs = 0x20\nn_trials=0x3\n", "cf15a94990f2b6ca"),
+            ("", "cd83ba2975ab5c18"),
+            (PAPER_SETUP, "cd83ba2975ab5c18"),
+            (SMALL, "0e4ada33e6e2dedf"),
+            (ALL_KEYS, "3deb799deb75dff6"),
+            ("n_clusters = 3\nrays_per_cluster = 4\n", "07151592983aed52"),
+            ("n_bs = 0x20\nn_trials=0x3\n", "04684880a80ab7db"),
         ],
         ids=["default", "paper-setup", "small", "all-keys", "rays-broadcast", "int-base-0"],
     )
@@ -308,6 +297,60 @@ class TestRunExperiment:
                 assert r.spectral_eff_bits <= oracle[(r.trial_index, r.snr_db)].spectral_eff_bits + 1e-9
 
 
+# One value per config key, each unlike the key's value in KEY_BASE.
+OTHER_VALUE = {
+    "n_bs": 24,
+    "n_ms": 12,
+    "element_spacing_wl": 0.375,
+    "n_clusters": 3,
+    "rays_per_cluster": (4,),
+    "los_probability": 1.0,
+    "cluster_angle_spread_deg": 10.0,
+    "p_bs": 20,
+    "p_ms": 20,
+    "warmup": 5,
+    "multiplexing_order": 2,
+    "n_rf_bs": 6,
+    "n_rf_ms": 3,
+    "pastd_beta": 0.8,
+    "ooja_delta": 1.0,
+    "ooja_sign": -1,
+    "psk_order": 4,
+    "n_data_symbols": 100,
+    "p_t_bs": 2.0,
+    "snr_grid_db": (0.0, 5.0),
+    "n_trials": 3,
+    "master_seed": 2,
+    "variants": ("pastd-fd", "ooja-fd", "oracle"),
+}
+KEY_BASE = dict(n_bs=16, n_ms=8, n_rf_bs=8, n_rf_ms=4, n_trials=2, snr_grid_db=(0.0, 10.0), n_data_symbols=200)
+
+
+def record_cells(cfg):
+    return {(r.trial_index, r.variant, r.snr_db): (r.eta_u, r.eta_v, r.spectral_eff_bits, r.ser, r.seed_used)
+            for r in run_experiment(cfg)}
+
+
+class TestEveryKeyMovesARecord:
+    """A key that moves no record is an option with no effect: it should not exist."""
+
+    @pytest.fixture(scope="class")
+    def base_cells(self):
+        return record_cells(ExperimentConfig(**KEY_BASE))
+
+    @pytest.mark.parametrize("key", [f.name for f in fields(ExperimentConfig) if f.init])
+    def test_key_moves_a_record(self, base_cells, key):
+        assert KEY_BASE.get(key, getattr(ExperimentConfig, key)) != OTHER_VALUE[key]
+        cells = record_cells(ExperimentConfig(**{**KEY_BASE, key: OTHER_VALUE[key]}))
+        if cells.keys() != base_cells.keys():
+            return  # the row set moved
+
+        def moved(a, b):
+            return (a is None) != (b is None) or (a is not None and abs(a - b) > 1e-12)
+
+        assert any(moved(a, b) for row in cells for a, b in zip(cells[row], base_cells[row]))
+
+
 class TestSharedDraws:
     """Every variant of a trial probes with the same draws (common random numbers)."""
 
@@ -321,8 +364,7 @@ class TestSharedDraws:
         pastd_fd, ooja_fd, pastd_hy = streams[0], streams[2], streams[4]
         assert len(streams) == 6 and pastd_fd.shape == (2, 30, 8)
         assert pastd_fd.tobytes() == ooja_fd.tobytes()
-        d_ms_rf = make_front_end(cfg.bs, cfg.ms, cfg.protocol).d_ms_rf
-        np.testing.assert_allclose(pastd_hy, pastd_fd @ d_ms_rf.conj(), rtol=1e-12)
+        np.testing.assert_allclose(pastd_hy, pastd_fd @ cfg.front_end.d_ms_rf.conj(), rtol=1e-12)
         seeds = {}
         for r in records:
             seeds.setdefault(r.snr_db, set()).add(r.seed_used)
@@ -417,10 +459,11 @@ class TestCli:
             ("multiplexing_order = 9\nn_ms = 8\nn_rf_ms = 4\nvariants = pastd-fd\n", "multiplexing_order"),
             ("master_seed = -1\n", "master_seed"),
             ("snr_grid_db = 0,nan\n", "snr_grid_db"),
-            ("link_distance_m = nan\n", "link_distance_m"),
+            ("element_spacing_wl = nan\n", "element_spacing_wl"),
             ("ooja_delta = inf\n", "ooja_delta"),
-            ("noise_figure_db = nan\n", "noise_figure_db"),
+            ("cluster_angle_spread_deg = inf\n", "cluster_angle_spread_deg"),
             ("snr_grid_db = 0,4000\n", "snr_grid_db"),  # finite, but 10^(x/10) overflows
+            ("snr_grid_db = -4000\n", "snr_grid_db"),  # finite, but 10^(x/10) underflows to 0
             ("warmup = 0\n", "warmup"),
         ],
     )
