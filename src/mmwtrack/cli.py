@@ -15,7 +15,8 @@ import time
 
 import numpy as np
 
-from .harness import ConfigError, config_digest, emit_csv, load_config, resolved_text, run_experiment
+from .harness import ConfigError, _one_blas_thread, config_digest, emit_csv, load_config, resolved_text
+from .harness import run_experiment
 
 
 THREAD_VARS = (
@@ -28,7 +29,7 @@ THREAD_VARS = (
 
 
 def _manifest(cfg, workers: int, wall_s: float) -> str:
-    """What ran, as key = value lines: digest, seed, workers, versions, thread vars, wall time."""
+    """What ran, as key = value lines: digest, seed, workers, versions, thread settings, wall time."""
     fields = {
         "config_digest": config_digest(cfg),
         "master_seed": cfg.master_seed,
@@ -36,6 +37,8 @@ def _manifest(cfg, workers: int, wall_s: float) -> str:
         "python": platform.python_version(),
         "numpy": np.__version__,
         **{var: os.environ.get(var, "unset") for var in THREAD_VARS},
+        # run_experiment has set it already; the repeat call only reports whether it could
+        "blas_threads_in_trials": 1 if _one_blas_thread() else "unknown",
         "wall_s": format(wall_s, ".3f"),
     }
     return "".join(f"{key} = {value}\n" for key, value in fields.items())

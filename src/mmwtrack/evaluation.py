@@ -22,8 +22,9 @@ class MetricConfig:
             raise ValueError(f"psk_order must be a power of 2 >= 2, got {self.psk_order}")
         if self.n_data_symbols < 1:
             raise ValueError("n_data_symbols must be positive")
-        if not np.all(np.asarray(self.p_t_bs) > 0):
-            raise ValueError("p_t_bs must be > 0")
+        p_t_bs = np.asarray(self.p_t_bs)
+        if not np.all(np.isfinite(p_t_bs) & (p_t_bs > 0)):
+            raise ValueError("p_t_bs must be finite and > 0")
 
 
 def normalized_correlation(x, y):

@@ -10,6 +10,9 @@ sees the same channel, probes and noise (paired comparison).
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
 import hashlib
 import math
 import os
@@ -115,7 +118,11 @@ class ExperimentConfig:
             try:
                 ratio = 10.0 ** (x / 10.0)
             except OverflowError:
-                raise ConfigError(f"snr_grid_db: {_fmt_value(x)} dB overflows as a power ratio") from None
+                ratio = math.inf
+            if not math.isfinite(ratio * self.n_ms):  # the first product of each trial's power
+                raise ConfigError(
+                    f"snr_grid_db: {_fmt_value(x)} dB overflows as a power ratio times n_ms = {self.n_ms}"
+                )
             if ratio == 0.0:
                 raise ConfigError(f"snr_grid_db: {_fmt_value(x)} dB underflows to a zero power ratio")
         if len(self.rays_per_cluster) == 1:
@@ -262,6 +269,9 @@ def _trial_records(cfg: ExperimentConfig, trial_idx: int) -> list:
         chan = sample_channel(cfg.channel, cfg.bs, cfg.ms, chan_rng)
         h2 = float(np.linalg.norm(chan.h) ** 2)
         rhos = [10.0 ** (x / 10.0) * n_ms * NOISE_VARIANCE / h2 if h2 > 0 else 1.0 for x in snrs]
+        for x, rho in zip(snrs, rhos):
+            if not math.isfinite(rho):
+                raise ValueError(f"transmit power {rho} at snr_db {x} is not finite (||H||^2 = {h2})")
     except Exception as exc:
         raise RuntimeError(f"trial {trial_idx}, channel draw: {exc}") from exc
     p_ts = tuple(rho * cfg.metrics.p_t_bs for rho in rhos)
@@ -310,8 +320,41 @@ def _trial_records(cfg: ExperimentConfig, trial_idx: int) -> list:
     return records
 
 
+@functools.cache
+def _openblas():
+    """numpy's bundled scipy-openblas, loaded through ctypes, or None when numpy links another BLAS."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas*")):
+        try:
+            lib = ctypes.CDLL(path)  # the copy numpy already loaded, so its thread count
+            set_threads = lib.scipy_openblas_set_num_threads64_
+            get_threads = lib.scipy_openblas_get_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+        return lib
+    return None
+
+
+def _one_blas_thread() -> bool:
+    """Run numpy's bundled OpenBLAS on one thread; False, doing nothing, for any other BLAS."""
+    lib = _openblas()
+    if lib is None:
+        return False
+    lib.scipy_openblas_set_num_threads64_(1)
+    return True
+
+
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list:
-    """All trial records for a config, ordered by (variant, SNR, trial)."""
+    """All trial records for a config, ordered by (variant, SNR, trial).
+
+    It first sets numpy's bundled OpenBLAS to one thread and leaves it there:
+    a trial's small products gain little from a second thread, which spins
+    between calls, and forked pool workers inherit the count. The caller's
+    process stays on one BLAS thread. Record bytes do not depend on it.
+    """
+    _one_blas_thread()
     trials = range(cfg.n_trials)
     if workers > 1:
         chunk = max(1, cfg.n_trials // (workers * 4))

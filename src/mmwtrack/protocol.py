@@ -70,8 +70,9 @@ class ProtocolConfig:
             raise ValueError(f"mode must be 'fd' or 'hy', got {self.mode!r}")
         if self.mode == MODE_HY and self.m > min(self.n_rf_bs, self.n_rf_ms):
             raise ValueError("hybrid mode requires m <= min(n_rf_bs, n_rf_ms)")
-        if not np.all(np.asarray(self.tx_power_scale) > 0):
-            raise ValueError("tx_power_scale must be > 0")
+        scale = np.asarray(self.tx_power_scale)
+        if not np.all(np.isfinite(scale) & (scale > 0)):
+            raise ValueError("tx_power_scale must be finite and > 0")
 
 
 @dataclass(frozen=True)

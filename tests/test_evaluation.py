@@ -152,6 +152,12 @@ class TestSpectralEfficiency:
         assert all(b >= a for a, b in zip(values, values[1:]))
 
 
+@pytest.mark.parametrize("p_t_bs", [-1.0, math.inf, (1.0, math.nan)])
+def test_metric_power_must_be_finite_and_positive(p_t_bs):
+    with pytest.raises(ValueError, match="p_t_bs must be finite and > 0"):
+        MetricConfig(p_t_bs=p_t_bs)
+
+
 class TestDpskSer:
     def test_noiseless_oracle_is_error_free(self):
         chan = rank1_channel()

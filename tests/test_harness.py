@@ -1,4 +1,5 @@
 import math
+import os
 import platform
 from dataclasses import fields, replace
 from pathlib import Path
@@ -250,6 +251,12 @@ class TestRunExperiment:
         with pytest.raises(RuntimeError, match="trial 0, channel draw: SVD did not converge"):
             run_experiment(load_config(ONE_TRIAL))
 
+    def test_non_finite_power_is_a_channel_draw_error(self, monkeypatch):
+        # SNR * n_ms * sigma^2 / ||H||^2 overflows once the noise variance is huge
+        monkeypatch.setattr(harness, "NOISE_VARIANCE", 1e300)
+        with pytest.raises(RuntimeError, match="trial 0, channel draw: transmit power inf at snr_db 0.0"):
+            run_experiment(load_config(ONE_TRIAL))
+
     def test_oracle_variant_is_exact(self):
         cfg = load_config("n_trials = 1\nsnr_grid_db = 10\nvariants = oracle\nn_bs = 16\nn_ms = 8\nn_rf_bs = 8\nn_rf_ms = 4\n")
         records = run_experiment(cfg)
@@ -464,6 +471,8 @@ class TestCli:
             ("cluster_angle_spread_deg = inf\n", "cluster_angle_spread_deg"),
             ("snr_grid_db = 0,4000\n", "snr_grid_db"),  # finite, but 10^(x/10) overflows
             ("snr_grid_db = -4000\n", "snr_grid_db"),  # finite, but 10^(x/10) underflows to 0
+            # 10^(x/10) is finite, but each trial's power first multiplies it by n_ms
+            ("n_bs = 16\nn_ms = 8\nn_rf_bs = 8\nn_rf_ms = 4\nn_trials = 1\nsnr_grid_db = 3080\n", "snr_grid_db"),
             ("warmup = 0\n", "warmup"),
         ],
     )
@@ -521,6 +530,7 @@ class TestCli:
         assert fields["python"] == platform.python_version() and fields["numpy"] == np.__version__
         assert fields["OMP_NUM_THREADS"] == "3" and fields["OPENBLAS_NUM_THREADS"] == "unset"
         assert float(fields["wall_s"]) > 0.0
+        assert fields["blas_threads_in_trials"] == ("1" if harness._openblas() else "unknown")
         # the manifest sits beside the records, which it leaves as a direct run writes them
         emit_csv(run_experiment(cfg), tmp_path / "direct")
         assert (out / "records.csv").read_bytes() == (tmp_path / "direct" / "records.csv").read_bytes()
@@ -539,3 +549,45 @@ class TestCli:
         assert cli_main(["simulate", "--config", str(keyed), "--out", str(out3)]) == 0
         for name in ("records.csv", "config_resolved.txt"):
             assert (out2 / name).read_bytes() == (out3 / name).read_bytes()
+
+
+def report_blas_threads(cfg, trial_idx):
+    """Stands in for harness._trial_records: where the trial ran and on how many BLAS threads."""
+    return [(os.getpid(), harness._openblas().scipy_openblas_get_num_threads64_())]
+
+
+class TestOneBlasThread:
+    """run_experiment runs the trials on one thread of numpy's bundled OpenBLAS."""
+
+    @pytest.fixture
+    def openblas(self):
+        lib = harness._openblas()
+        if lib is None:
+            pytest.skip("numpy is not linked to the bundled scipy-openblas")
+        lib.scipy_openblas_set_num_threads64_(2)  # so that a run which sets nothing shows
+        yield lib
+        lib.scipy_openblas_set_num_threads64_(1)  # where run_experiment leaves the process
+
+    def test_pool_workers_run_on_one_thread(self, openblas, monkeypatch):
+        # pool.map pickles the function by name, and the forked worker finds the patched one
+        monkeypatch.setattr(harness, "_trial_records", report_blas_threads)
+        reports = run_experiment(load_config(SMALL), workers=2)
+        assert len(reports) == 3 and os.getpid() not in {pid for pid, _ in reports}
+        assert {threads for _, threads in reports} == {1}
+
+    def test_serial_run_leaves_the_caller_on_one_thread(self, openblas):
+        run_experiment(load_config(ONE_TRIAL))
+        assert openblas.scipy_openblas_get_num_threads64_() == 1
+
+    def test_any_other_blas_is_left_alone(self, openblas, monkeypatch, tmp_path):
+        cfg = load_config(SMALL)
+        expected = run_experiment(cfg)
+        openblas.scipy_openblas_set_num_threads64_(2)
+        monkeypatch.setattr(harness, "_openblas", lambda: None)
+        assert run_experiment(cfg) == expected
+        assert openblas.scipy_openblas_get_num_threads64_() == 2
+        path = tmp_path / "cfg.txt"
+        path.write_text(ONE_TRIAL)
+        assert cli_main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        fields = dict(line.split(" = ", 1) for line in (tmp_path / "out" / "manifest.txt").read_text().splitlines())
+        assert fields["blas_threads_in_trials"] == "unknown"

@@ -228,6 +228,11 @@ class TestRunProtocol:
         with pytest.raises(ValueError):
             small_cfg(warmup=30)
 
+    @pytest.mark.parametrize("scale", [0.0, math.inf, (1.0, math.nan)])
+    def test_power_scale_must_be_finite_and_positive(self, scale):
+        with pytest.raises(ValueError, match="tx_power_scale must be finite and > 0"):
+            small_cfg(tx_power_scale=scale)
+
     def test_one_generator_rejects_stacked_powers(self):
         # one Generator draws one stream's block; a stack's blocks come from draw_probes
         cfg = small_cfg(tx_power_scale=(0.5, 1.0, 2.0))
