@@ -1,7 +1,8 @@
 """Clustered mmWave MIMO channel generation with an exact SVD oracle.
 
 The channel is a sum of rank-1 ray contributions over scattering clusters,
-plus an optional LOS term, for uniform linear arrays at both link ends.
+for uniform linear arrays at both link ends; the optional LOS path is one
+more ray.
 Every realization carries its exact singular value decomposition so that
 estimation algorithms can be scored against ground truth.
 """
@@ -83,9 +84,7 @@ class ChannelRealization:
     u: np.ndarray        # N_MS x r, left singular vectors
     sigma: np.ndarray    # length r, descending
     v: np.ndarray        # N_BS x r, right singular vectors
-    rays: tuple
-    los_present: bool
-    los_phase_rad: float
+    rays: tuple          # every path, the LOS path (when present) last
 
 
 def steering_matrix(array: ArrayConfig, angles_rad) -> np.ndarray:
@@ -143,45 +142,17 @@ def dominant_svd(h: np.ndarray, m: int):
     return u, s_full[:m].copy(), v
 
 
-def assemble_channel(
-    bs: ArrayConfig,
-    ms: ArrayConfig,
-    rays,
-    gamma: float,
-    los_present: bool = False,
-    los_phase_rad: float = 0.0,
-    los_aoa_ms_rad: float = 0.0,
-    los_aod_bs_rad: float = 0.0,
-    los_attenuation_linear: float = 0.0,
-) -> ChannelRealization:
-    """Build a realization from explicit ray parameters and LOS geometry."""
-    h = np.zeros((ms.n_elements, bs.n_elements), dtype=complex)
-    if rays:
-        a_ms = steering_matrix(ms, [r.aoa_ms_rad for r in rays])
-        a_bs = steering_matrix(bs, [r.aod_bs_rad for r in rays])
-        weights = np.array([r.gain * math.sqrt(r.attenuation_linear) for r in rays])
-        h = gamma * (a_ms * weights) @ a_bs.conj().T
-    if los_present:
-        amp = math.sqrt(ms.n_elements * bs.n_elements * los_attenuation_linear)
-        h = h + (
-            amp
-            * np.exp(1j * los_phase_rad)
-            * np.outer(
-                steering_vector(ms, los_aoa_ms_rad),
-                steering_vector(bs, los_aod_bs_rad).conj(),
-            )
-        )
-    r = min(h.shape)
-    u, sigma, v = dominant_svd(h, r)
-    return ChannelRealization(
-        h=h,
-        u=u,
-        sigma=sigma,
-        v=v,
-        rays=tuple(rays),
-        los_present=los_present,
-        los_phase_rad=los_phase_rad,
-    )
+def assemble_channel(bs: ArrayConfig, ms: ArrayConfig, rays, gamma: float) -> ChannelRealization:
+    """Build a realization as the superposition gamma * sum of gain * sqrt(attenuation) * a_ms a_bs^H.
+
+    Every path, the LOS path included, is one ray of the list.
+    """
+    a_ms = steering_matrix(ms, [r.aoa_ms_rad for r in rays])
+    a_bs = steering_matrix(bs, [r.aod_bs_rad for r in rays])
+    weights = np.array([r.gain * math.sqrt(r.attenuation_linear) for r in rays])
+    h = gamma * (a_ms * weights) @ a_bs.conj().T  # all zeros for no rays
+    u, sigma, v = dominant_svd(h, min(h.shape))
+    return ChannelRealization(h=h, u=u, sigma=sigma, v=v, rays=tuple(rays))
 
 
 def sample_channel(
@@ -194,8 +165,9 @@ def sample_channel(
 
     Cluster central angles are uniform on [-pi/2, pi/2] at both ends; per-ray
     angles add a bounded uniform offset (clipped back into the visible range).
-    Ray gains are standard circular complex Gaussians; every ray and the LOS
-    term carry the attenuation PATH_GAIN.
+    Ray gains are standard circular complex Gaussians. The LOS path, present
+    with probability los_probability, is one more ray, appended last, with a
+    uniform phase and uniform angles; every ray carries the attenuation PATH_GAIN.
     """
     total_rays = sum(params.rays_per_cluster)
     gamma = math.sqrt(bs.n_elements * ms.n_elements / total_rays)
@@ -211,19 +183,12 @@ def sample_channel(
             gain = (rng.standard_normal() + 1j * rng.standard_normal()) / math.sqrt(2.0)
             rays.append(RayParams(gain=gain, attenuation_linear=PATH_GAIN, aod_bs_rad=aod, aoa_ms_rad=aoa))
 
+    # the four LOS draws are made in every trial, so RNG use does not depend on los_probability
     los_present = bool(rng.uniform() < params.los_probability)
     los_phase = float(rng.uniform(0.0, 2.0 * math.pi))
     los_aoa = float(rng.uniform(-math.pi / 2, math.pi / 2))
     los_aod = float(rng.uniform(-math.pi / 2, math.pi / 2))
-
-    return assemble_channel(
-        bs,
-        ms,
-        rays,
-        gamma,
-        los_present=los_present,
-        los_phase_rad=los_phase,
-        los_aoa_ms_rad=los_aoa,
-        los_aod_bs_rad=los_aod,
-        los_attenuation_linear=PATH_GAIN,
-    )
+    if los_present:  # amplitude sqrt(N_BS N_MS PATH_GAIN) once scaled by gamma
+        los_gain = np.exp(1j * los_phase) * math.sqrt(total_rays)
+        rays.append(RayParams(gain=los_gain, attenuation_linear=PATH_GAIN, aod_bs_rad=los_aod, aoa_ms_rad=los_aoa))
+    return assemble_channel(bs, ms, rays, gamma)

@@ -22,7 +22,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .channel import NOISE_VARIANCE, ArrayConfig, ChannelParams, sample_channel
+from .channel import NOISE_VARIANCE, PATH_GAIN, ArrayConfig, ChannelParams, sample_channel
 from .evaluation import MetricConfig, dpsk_noise, dpsk_ser_trial, normalized_correlation
 from .evaluation import spectral_efficiency, spectral_efficiency_bound
 from .protocol import (
@@ -85,7 +85,6 @@ class ExperimentConfig:
     n_rf_ms: int = 10
     pastd_beta: float = 0.95
     ooja_delta: float = 0.01
-    ooja_sign: int = 1
     psk_order: int = 16
     n_data_symbols: int = 10_000
     p_t_bs: float = 1.0
@@ -114,17 +113,6 @@ class ExperimentConfig:
             entries = value if isinstance(value, tuple) else (value,)
             if not all(math.isfinite(x) for x in entries if isinstance(x, float)):
                 raise ConfigError(f"{f.name}: non-finite value in {_fmt_value(value)!r}")
-        for x in self.snr_grid_db:
-            try:
-                ratio = 10.0 ** (x / 10.0)
-            except OverflowError:
-                ratio = math.inf
-            if not math.isfinite(ratio * self.n_ms):  # the first product of each trial's power
-                raise ConfigError(
-                    f"snr_grid_db: {_fmt_value(x)} dB overflows as a power ratio times n_ms = {self.n_ms}"
-                )
-            if ratio == 0.0:
-                raise ConfigError(f"snr_grid_db: {_fmt_value(x)} dB underflows to a zero power ratio")
         if len(self.rays_per_cluster) == 1:
             object.__setattr__(self, "rays_per_cluster", self.rays_per_cluster * self.n_clusters)
         bs = ArrayConfig(self.n_bs, self.element_spacing_wl)
@@ -139,9 +127,21 @@ class ExperimentConfig:
             m=self.multiplexing_order,
             n_rf_bs=self.n_rf_bs,
             n_rf_ms=self.n_rf_ms,
-            tracker=TrackerSpec(beta=self.pastd_beta, delta=self.ooja_delta, sign=self.ooja_sign),
+            tracker=TrackerSpec(beta=self.pastd_beta, delta=self.ooja_delta),
         )
         metrics = MetricConfig(self.psk_order, self.n_data_symbols, self.p_t_bs)
+        for x in self.snr_grid_db:
+            try:
+                ratio = 10.0 ** (x / 10.0)
+            except OverflowError:
+                ratio = math.inf
+            # p_t / sigma^2 = ratio * n_ms * p_t_bs / ||H||^2, here at E||H||^2 = n_bs n_ms PATH_GAIN
+            if not math.isfinite(ratio * self.p_t_bs / (self.n_bs * PATH_GAIN)):
+                raise ConfigError(
+                    f"snr_grid_db: {_fmt_value(x)} dB overflows p_t / sigma^2 at the mean channel power"
+                )
+            if ratio == 0.0:
+                raise ConfigError(f"snr_grid_db: {_fmt_value(x)} dB underflows to a zero power ratio")
         if self.multiplexing_order > min(self.n_bs, self.n_ms):
             raise ConfigError("multiplexing_order must not exceed min(n_bs, n_ms)")
         if not (1 <= self.n_rf_bs <= self.n_bs and 1 <= self.n_rf_ms <= self.n_ms):
@@ -269,12 +269,14 @@ def _trial_records(cfg: ExperimentConfig, trial_idx: int) -> list:
         chan = sample_channel(cfg.channel, cfg.bs, cfg.ms, chan_rng)
         h2 = float(np.linalg.norm(chan.h) ** 2)
         rhos = [10.0 ** (x / 10.0) * n_ms * NOISE_VARIANCE / h2 if h2 > 0 else 1.0 for x in snrs]
-        for x, rho in zip(snrs, rhos):
-            if not math.isfinite(rho):
-                raise ValueError(f"transmit power {rho} at snr_db {x} is not finite (||H||^2 = {h2})")
+        p_ts = tuple(rho * cfg.metrics.p_t_bs for rho in rhos)
+        for x, p_t in zip(snrs, p_ts):
+            if not math.isfinite(p_t / NOISE_VARIANCE):
+                raise ValueError(
+                    f"transmit power {p_t} at snr_db {x}: p_t / sigma^2 is not finite (||H||^2 = {h2})"
+                )
     except Exception as exc:
         raise RuntimeError(f"trial {trial_idx}, channel draw: {exc}") from exc
-    p_ts = tuple(rho * cfg.metrics.p_t_bs for rho in rhos)
     m = cfg.protocol.m
     u1 = chan.u[:, 0]
     v1 = chan.v[:, 0]

@@ -33,7 +33,6 @@ class TrackerSpec:
     kind: str = TRACKER_PASTD
     beta: float = 0.95
     delta: float = 0.01
-    sign: int = 1
 
     def __post_init__(self):
         if self.kind not in (TRACKER_PASTD, TRACKER_OOJA):
@@ -42,8 +41,6 @@ class TrackerSpec:
             raise ValueError(f"beta must be in (0, 1], got {self.beta}")
         if self.delta <= 0:
             raise ValueError(f"delta must be > 0, got {self.delta}")
-        if self.sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign}")
 
 
 @dataclass(frozen=True)
@@ -169,7 +166,7 @@ def _phase(link, d_rf, n_probes, cfg: ProtocolConfig, sigma2_n, block) -> np.nda
     if spec.kind == TRACKER_PASTD:
         tracker = PastdTracker(w=w0, lam=lam0, beta=spec.beta)
     else:
-        tracker = OojaTracker(w=w0, delta=spec.delta, sign=spec.sign)
+        tracker = OojaTracker(w=w0, delta=spec.delta)
     tracker_run(tracker, np.moveaxis(r[..., cfg.warmup :, :], -2, 0))
     return extract_basis(tracker)
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -87,17 +88,8 @@ class TestSampleChannel:
     def test_los_only(self):
         bs, ms = ArrayConfig(16), ArrayConfig(8)
         attn = 0.37
-        ch = assemble_channel(
-            bs,
-            ms,
-            rays=(),
-            gamma=1.0,
-            los_present=True,
-            los_phase_rad=1.1,
-            los_aoa_ms_rad=0.4,
-            los_aod_bs_rad=-0.2,
-            los_attenuation_linear=attn,
-        )
+        los = RayParams(gain=math.sqrt(128) * np.exp(1.1j), attenuation_linear=attn, aod_bs_rad=-0.2, aoa_ms_rad=0.4)
+        ch = assemble_channel(bs, ms, rays=(los,), gamma=1.0)
         assert ch.sigma[0] == pytest.approx(math.sqrt(8 * 16 * attn), rel=1e-12)
         assert ch.sigma[1] < 1e-12 * ch.sigma[0]
 
@@ -121,7 +113,26 @@ class TestSampleChannel:
         a = sample_channel(params, bs, ms, np.random.default_rng(11))
         b = sample_channel(params, bs, ms, np.random.default_rng(11))
         assert np.array_equal(a.h, b.h)
-        assert a.los_present == b.los_present
+        assert a.rays == b.rays
+
+    def test_los_is_one_more_ray(self):
+        params = one_ray_params(n_clusters=2, rays_per_cluster=(2, 3), cluster_angle_spread_deg=5.0)
+        bs, ms = ArrayConfig(12), ArrayConfig(6)
+        nlos = sample_channel(params, bs, ms, np.random.default_rng(13))
+        los = sample_channel(replace(params, los_probability=1.0), bs, ms, np.random.default_rng(13))
+        # the LOS draws are made in every trial, so both draw the same scattered rays
+        assert len(nlos.rays) == 5 and los.rays[:-1] == nlos.rays
+
+        def outer(ray):
+            return np.outer(steering_vector(ms, ray.aoa_ms_rad), steering_vector(bs, ray.aod_bs_rad).conj())
+
+        # the two-term formula: gamma sum alpha sqrt(L) a_MS a_BS^H + sqrt(N_BS N_MS L) e^{j phi} a_MS a_BS^H
+        gamma = math.sqrt(12 * 6 / 5)
+        scattered = sum(gamma * r.gain * math.sqrt(r.attenuation_linear) * outer(r) for r in nlos.rays)
+        ray = los.rays[-1]
+        assert abs(ray.gain) == pytest.approx(math.sqrt(5), rel=1e-15)
+        want = scattered + math.sqrt(12 * 6 * PATH_GAIN) * np.exp(1j * np.angle(ray.gain)) * outer(ray)
+        assert np.linalg.norm(los.h - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_svd_is_exact(self):
         rng = np.random.default_rng(5)

@@ -62,7 +62,6 @@ n_rf_bs = 10
 n_rf_ms = 6
 pastd_beta = 0.875
 ooja_delta = 0.0625
-ooja_sign = -1
 psk_order = 8
 n_data_symbols = 321
 p_t_bs = 2.5
@@ -123,12 +122,12 @@ class TestLoadConfig:
     @pytest.mark.parametrize(
         "text, digest",
         [
-            ("", "cd83ba2975ab5c18"),
-            (PAPER_SETUP, "cd83ba2975ab5c18"),
-            (SMALL, "0e4ada33e6e2dedf"),
-            (ALL_KEYS, "3deb799deb75dff6"),
-            ("n_clusters = 3\nrays_per_cluster = 4\n", "07151592983aed52"),
-            ("n_bs = 0x20\nn_trials=0x3\n", "04684880a80ab7db"),
+            ("", "275081f05bc196a2"),
+            (PAPER_SETUP, "275081f05bc196a2"),
+            (SMALL, "50ab2b4c092a4b8e"),
+            (ALL_KEYS, "8d06f66b35b4652b"),
+            ("n_clusters = 3\nrays_per_cluster = 4\n", "2b7892f4648d94b3"),
+            ("n_bs = 0x20\nn_trials=0x3\n", "6d14108d0d137f99"),
         ],
         ids=["default", "paper-setup", "small", "all-keys", "rays-broadcast", "int-base-0"],
     )
@@ -252,10 +251,23 @@ class TestRunExperiment:
             run_experiment(load_config(ONE_TRIAL))
 
     def test_non_finite_power_is_a_channel_draw_error(self, monkeypatch):
-        # SNR * n_ms * sigma^2 / ||H||^2 overflows once the noise variance is huge
-        monkeypatch.setattr(harness, "NOISE_VARIANCE", 1e300)
-        with pytest.raises(RuntimeError, match="trial 0, channel draw: transmit power inf at snr_db 0.0"):
-            run_experiment(load_config(ONE_TRIAL))
+        real = harness.sample_channel
+        cases = [
+            # SNR * n_ms * sigma^2 / ||H||^2 overflows once the noise variance is huge
+            (1e300, 1.0, "transmit power inf at snr_db 0.0"),
+            # p_t is finite, but p_t / sigma^2 = SNR * n_ms / ||H||^2 overflows on a faint channel
+            (harness.NOISE_VARIANCE, 1e-150,
+             r"transmit power [0-9.e+]+ at snr_db 0.0: p_t / sigma\^2 is not finite"),
+        ]
+        for noise_variance, h_scale, message in cases:
+            def scaled(*args):
+                chan = real(*args)
+                return replace(chan, h=chan.h * h_scale)
+
+            monkeypatch.setattr(harness, "NOISE_VARIANCE", noise_variance)
+            monkeypatch.setattr(harness, "sample_channel", scaled)
+            with pytest.raises(RuntimeError, match=f"trial 0, channel draw: {message}"):
+                run_experiment(load_config(ONE_TRIAL))
 
     def test_oracle_variant_is_exact(self):
         cfg = load_config("n_trials = 1\nsnr_grid_db = 10\nvariants = oracle\nn_bs = 16\nn_ms = 8\nn_rf_bs = 8\nn_rf_ms = 4\n")
@@ -321,7 +333,6 @@ OTHER_VALUE = {
     "n_rf_ms": 3,
     "pastd_beta": 0.8,
     "ooja_delta": 1.0,
-    "ooja_sign": -1,
     "psk_order": 4,
     "n_data_symbols": 100,
     "p_t_bs": 2.0,
@@ -471,8 +482,10 @@ class TestCli:
             ("cluster_angle_spread_deg = inf\n", "cluster_angle_spread_deg"),
             ("snr_grid_db = 0,4000\n", "snr_grid_db"),  # finite, but 10^(x/10) overflows
             ("snr_grid_db = -4000\n", "snr_grid_db"),  # finite, but 10^(x/10) underflows to 0
-            # 10^(x/10) is finite, but each trial's power first multiplies it by n_ms
+            # 10^(x/10) is finite, but p_t / sigma^2 at the mean channel power is not;
+            # at 3070 dB even 10^(x/10) * n_ms, the first product of a trial's power, is finite
             ("n_bs = 16\nn_ms = 8\nn_rf_bs = 8\nn_rf_ms = 4\nn_trials = 1\nsnr_grid_db = 3080\n", "snr_grid_db"),
+            ("n_bs = 16\nn_ms = 8\nn_rf_bs = 8\nn_rf_ms = 4\nn_trials = 1\nsnr_grid_db = 3070\n", "snr_grid_db"),
             ("warmup = 0\n", "warmup"),
         ],
     )
