@@ -87,7 +87,6 @@ class ExperimentConfig:
     ooja_delta: float = 0.01
     psk_order: int = 16
     n_data_symbols: int = 10_000
-    p_t_bs: float = 1.0
     snr_grid_db: tuple = (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0)
     n_trials: int = 500
     master_seed: int = 1
@@ -129,19 +128,19 @@ class ExperimentConfig:
             n_rf_ms=self.n_rf_ms,
             tracker=TrackerSpec(beta=self.pastd_beta, delta=self.ooja_delta),
         )
-        metrics = MetricConfig(self.psk_order, self.n_data_symbols, self.p_t_bs)
+        metrics = MetricConfig(self.psk_order, self.n_data_symbols)
         for x in self.snr_grid_db:
             try:
                 ratio = 10.0 ** (x / 10.0)
             except OverflowError:
                 ratio = math.inf
-            # p_t / sigma^2 = ratio * n_ms * p_t_bs / ||H||^2, here at E||H||^2 = n_bs n_ms PATH_GAIN
-            if not math.isfinite(ratio * self.p_t_bs / (self.n_bs * PATH_GAIN)):
+            # a trial's p_t = ratio * n_ms * sigma^2 / ||H||^2, here at E||H||^2 = n_bs n_ms PATH_GAIN
+            p_t = ratio * self.n_ms * NOISE_VARIANCE / (self.n_bs * self.n_ms * PATH_GAIN)
+            if not (p_t > 0.0 and math.isfinite(p_t / NOISE_VARIANCE)):
                 raise ConfigError(
-                    f"snr_grid_db: {_fmt_value(x)} dB overflows p_t / sigma^2 at the mean channel power"
+                    f"snr_grid_db: {_fmt_value(x)} dB gives p_t {p_t} at the mean channel power: "
+                    "p_t must be > 0 and p_t / sigma^2 finite"
                 )
-            if ratio == 0.0:
-                raise ConfigError(f"snr_grid_db: {_fmt_value(x)} dB underflows to a zero power ratio")
         if self.multiplexing_order > min(self.n_bs, self.n_ms):
             raise ConfigError("multiplexing_order must not exceed min(n_bs, n_ms)")
         if not (1 <= self.n_rf_bs <= self.n_bs and 1 <= self.n_rf_ms <= self.n_ms):
@@ -265,19 +264,20 @@ def _trial_records(cfg: ExperimentConfig, trial_idx: int) -> list:
     )
     snrs = cfg.snr_grid_db
     n_bs, n_ms = cfg.bs.n_elements, cfg.ms.n_elements
+    m = cfg.protocol.m
     try:
         chan = sample_channel(cfg.channel, cfg.bs, cfg.ms, chan_rng)
         h2 = float(np.linalg.norm(chan.h) ** 2)
-        rhos = [10.0 ** (x / 10.0) * n_ms * NOISE_VARIANCE / h2 if h2 > 0 else 1.0 for x in snrs]
-        p_ts = tuple(rho * cfg.metrics.p_t_bs for rho in rhos)
+        p_ts = tuple(10.0 ** (x / 10.0) * n_ms * NOISE_VARIANCE / h2 if h2 > 0 else 1.0 for x in snrs)
         for x, p_t in zip(snrs, p_ts):
-            if not math.isfinite(p_t / NOISE_VARIANCE):
-                raise ValueError(
-                    f"transmit power {p_t} at snr_db {x}: p_t / sigma^2 is not finite (||H||^2 = {h2})"
-                )
+            if not (p_t > 0.0 and math.isfinite(p_t / NOISE_VARIANCE)):
+                fault = "p_t / sigma^2 is not finite" if p_t > 0.0 else "p_t is not > 0"
+                raise ValueError(f"transmit power {p_t} at snr_db {x}: {fault} (||H||^2 = {h2})")
+        # the same for every variant: the oracle's rate and the DPSK link at each power
+        bound = spectral_efficiency_bound(chan.sigma[:m], p_ts, NOISE_VARIANCE)
+        mcfg = replace(cfg.metrics, p_t_bs=p_ts)
     except Exception as exc:
         raise RuntimeError(f"trial {trial_idx}, channel draw: {exc}") from exc
-    m = cfg.protocol.m
     u1 = chan.u[:, 0]
     v1 = chan.v[:, 0]
     oracle = EstimatedBeamformers(d_ms=chan.u[:, :m], d_bs=chan.v[:, :m])
@@ -298,17 +298,15 @@ def _trial_records(cfg: ExperimentConfig, trial_idx: int) -> list:
         try:
             beams = oracle  # one pair of beams, scored at every power of the stack
             if protocol is not None:
-                pcfg = replace(protocol, tx_power_scale=tuple(rhos))
+                pcfg = replace(protocol, tx_power_scale=p_ts)
                 beams = run_protocol(chan, pcfg, cfg.front_end, NOISE_VARIANCE, probes)
             _check_beams(beams, len(snrs))  # before scoring: a zero-norm column fails it for all
             se = spectral_efficiency(chan.h, beams.d_ms, beams.d_bs, p_ts, NOISE_VARIANCE)
             eta_u = np.broadcast_to(normalized_correlation(u1, beams.d_ms[..., 0]), se.shape)
             eta_v = np.broadcast_to(normalized_correlation(v1, beams.d_bs[..., 0]), se.shape)
-            bound = spectral_efficiency_bound(chan.sigma[:m], p_ts, NOISE_VARIANCE)
             _check_metrics(eta_u, eta_v, se, bound)
             sers = [None] * len(snrs)
             if m == 1:
-                mcfg = replace(cfg.metrics, p_t_bs=p_ts)
                 sers = dpsk_ser_trial(chan, beams, mcfg, NOISE_VARIANCE, noise).tolist()
         except _StreamFault as exc:  # a check names the stream it failed on
             fault, i = exc.args
@@ -358,6 +356,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list:
     """
     _one_blas_thread()
     trials = range(cfg.n_trials)
+    workers = min(workers, cfg.n_trials)  # the pool forks all its workers at the first submit
     if workers > 1:
         chunk = max(1, cfg.n_trials // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:

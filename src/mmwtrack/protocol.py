@@ -82,12 +82,10 @@ class HybridFrontEnd:
 
 @dataclass(frozen=True)
 class EstimatedBeamformers:
-    """Final beamformers; baseband factors are present in hybrid mode only."""
+    """Final beamformers with unit-norm columns; in hybrid mode each is D_RF d_bb / ||D_RF d_bb||."""
 
     d_ms: np.ndarray
     d_bs: np.ndarray
-    d_ms_bb: np.ndarray | None = None
-    d_bs_bb: np.ndarray | None = None
 
 
 def build_rf_grid(array: ArrayConfig, n_rf: int) -> np.ndarray:
@@ -106,13 +104,12 @@ def make_front_end(bs: ArrayConfig, ms: ArrayConfig, cfg: ProtocolConfig) -> Hyb
 
 
 def _lift_and_normalize(d_rf, d_bb):
-    """Unit-column d_rf @ d_bb and the equally rescaled d_bb, or None for it if d_rf is None."""
-    d_bb = np.asarray(d_bb, dtype=complex)
-    full = d_bb if d_rf is None else d_rf @ d_bb
+    """d_rf @ d_bb (d_bb itself if d_rf is None) with unit-norm columns."""
+    full = np.asarray(d_bb, dtype=complex) if d_rf is None else d_rf @ d_bb
     norms = np.linalg.norm(full, axis=-2, keepdims=True)
     if np.any(norms == 0.0):
         raise ValueError("zero beamformer column cannot be normalized")
-    return full / norms, None if d_rf is None else d_bb / norms
+    return full / norms
 
 
 class ProbeBlock(NamedTuple):
@@ -232,6 +229,6 @@ def run_protocol(
     """
     rng_a, rng_b = (rng, rng) if isinstance(rng, np.random.Generator) else rng
     d_ms_rf, d_bs_rf = _combiners(cfg, front)
-    d_ms, d_ms_bb = _lift_and_normalize(d_ms_rf, run_phase_a(chan, cfg, front, sigma2_n, rng_a))
-    d_bs, d_bs_bb = _lift_and_normalize(d_bs_rf, run_phase_b(chan, d_ms, cfg, front, sigma2_n, rng_b))
-    return EstimatedBeamformers(d_ms=d_ms, d_bs=d_bs, d_ms_bb=d_ms_bb, d_bs_bb=d_bs_bb)
+    d_ms = _lift_and_normalize(d_ms_rf, run_phase_a(chan, cfg, front, sigma2_n, rng_a))
+    d_bs = _lift_and_normalize(d_bs_rf, run_phase_b(chan, d_ms, cfg, front, sigma2_n, rng_b))
+    return EstimatedBeamformers(d_ms=d_ms, d_bs=d_bs)

@@ -57,7 +57,6 @@ class PastdTracker:
     w: np.ndarray
     lam: np.ndarray
     beta: float = 0.95
-    step_count: int = 0
 
     def __post_init__(self):
         self.w = np.array(self.w, dtype=complex)
@@ -81,7 +80,6 @@ class PastdTracker:
             lam += abs(y) ** 2
             u += (x - u * y) * (np.conj(y) / lam)
             x -= u * y  # deflate with the updated vector
-        self.step_count += 1
         return self
 
     def basis(self) -> np.ndarray:
@@ -107,7 +105,6 @@ class OojaTracker:
     w: np.ndarray
     delta: float = 0.01
     sign: int = 1
-    step_count: int = 0
     _work: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -173,7 +170,6 @@ class OojaTracker:
         mv(buf_t, u, out=a)
         np.multiply(vc_col, a_row, out=outer)
         wt += outer
-        self.step_count += 1
         return self
 
     def basis(self) -> np.ndarray:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -299,6 +300,24 @@ class TestDpskSer:
         se = math.sqrt((got * (1 - got) + ref * (1 - ref)) / n_sym)
         assert 0.0 < ref < 1.0
         assert abs(got - ref) <= 4.0 * se
+
+    @pytest.mark.parametrize("gamma_db", [0.0, 5.0, 10.0, 15.0])
+    @pytest.mark.parametrize("psk_order", [2, 4, 16])
+    def test_matches_the_exact_ser(self, psk_order, gamma_db):
+        # Pawula, Rice and Roberts, IEEE Trans. Commun. 30(8), 1982: differential K-PSK at
+        # symbol SNR gamma errs with probability
+        # sin(pi/K) / (2 pi) int_{-pi/2}^{pi/2} exp(-gamma (1 - c cos t)) / (1 - c cos t) dt, c = cos(pi/K)
+        gamma = 10.0 ** (gamma_db / 10.0)
+        c = mpmath.cos(mpmath.pi / psk_order)
+        integral = mpmath.quad(lambda t: mpmath.exp(-gamma * (1 - c * mpmath.cos(t))) / (1 - c * mpmath.cos(t)),
+                               [-mpmath.pi / 2, mpmath.pi / 2])
+        exact = float(mpmath.sin(mpmath.pi / psk_order) / (2 * mpmath.pi) * integral)
+        chan = rank1_channel()
+        sigma2, n_sym = 0.3, 1_000_000
+        beams = EstimatedBeamformers(d_ms=chan.u[:, :1], d_bs=chan.v[:, :1])
+        cfg = MetricConfig(psk_order=psk_order, n_data_symbols=n_sym, p_t_bs=gamma * sigma2 / chan.sigma[0] ** 2)
+        got = dpsk_ser_trial(chan, beams, cfg, sigma2, np.random.default_rng(psk_order * 100 + int(gamma_db)))
+        assert abs(got - exact) <= 4.0 * math.sqrt(exact * (1.0 - exact) / n_sym)
 
 
 def test_metric_config_validation():

@@ -64,7 +64,6 @@ pastd_beta = 0.875
 ooja_delta = 0.0625
 psk_order = 8
 n_data_symbols = 321
-p_t_bs = 2.5
 snr_grid_db = -3.5,1.25
 n_trials = 17
 master_seed = 99
@@ -88,6 +87,8 @@ class TestLoadConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
             load_config("bogus_key = 3\n")
+        with pytest.raises(ConfigError, match="unknown key 'p_t_bs'"):
+            load_config("p_t_bs = 1.0\n")  # each SNR point alone sets the transmit power
 
     def test_zero_trials_rejected_by_name(self):
         with pytest.raises(ConfigError, match="n_trials"):
@@ -122,12 +123,12 @@ class TestLoadConfig:
     @pytest.mark.parametrize(
         "text, digest",
         [
-            ("", "275081f05bc196a2"),
-            (PAPER_SETUP, "275081f05bc196a2"),
-            (SMALL, "50ab2b4c092a4b8e"),
-            (ALL_KEYS, "8d06f66b35b4652b"),
-            ("n_clusters = 3\nrays_per_cluster = 4\n", "2b7892f4648d94b3"),
-            ("n_bs = 0x20\nn_trials=0x3\n", "6d14108d0d137f99"),
+            ("", "a8dc25562e288a71"),
+            (PAPER_SETUP, "a8dc25562e288a71"),
+            (SMALL, "99adf23983bf37fe"),
+            (ALL_KEYS, "b72fe10d8efe5d29"),
+            ("n_clusters = 3\nrays_per_cluster = 4\n", "87c67a171910dddd"),
+            ("n_bs = 0x20\nn_trials=0x3\n", "e53654f74cc87431"),
         ],
         ids=["default", "paper-setup", "small", "all-keys", "rays-broadcast", "int-base-0"],
     )
@@ -252,12 +253,15 @@ class TestRunExperiment:
 
     def test_non_finite_power_is_a_channel_draw_error(self, monkeypatch):
         real = harness.sample_channel
+        cfg = load_config(ONE_TRIAL)  # before the patches: validation would reject the patched noise
         cases = [
             # SNR * n_ms * sigma^2 / ||H||^2 overflows once the noise variance is huge
             (1e300, 1.0, "transmit power inf at snr_db 0.0"),
             # p_t is finite, but p_t / sigma^2 = SNR * n_ms / ||H||^2 overflows on a faint channel
             (harness.NOISE_VARIANCE, 1e-150,
              r"transmit power [0-9.e+]+ at snr_db 0.0: p_t / sigma\^2 is not finite"),
+            # p_t = SNR * n_ms * sigma^2 / ||H||^2 underflows to 0 on a strong channel in faint noise
+            (1e-320, 1e10, "transmit power 0.0 at snr_db 0.0: p_t is not > 0"),
         ]
         for noise_variance, h_scale, message in cases:
             def scaled(*args):
@@ -267,7 +271,7 @@ class TestRunExperiment:
             monkeypatch.setattr(harness, "NOISE_VARIANCE", noise_variance)
             monkeypatch.setattr(harness, "sample_channel", scaled)
             with pytest.raises(RuntimeError, match=f"trial 0, channel draw: {message}"):
-                run_experiment(load_config(ONE_TRIAL))
+                run_experiment(cfg)
 
     def test_oracle_variant_is_exact(self):
         cfg = load_config("n_trials = 1\nsnr_grid_db = 10\nvariants = oracle\nn_bs = 16\nn_ms = 8\nn_rf_bs = 8\nn_rf_ms = 4\n")
@@ -283,6 +287,31 @@ class TestRunExperiment:
     def test_parallel_matches_serial(self):
         cfg = load_config(SMALL)
         assert run_experiment(cfg, workers=1) == run_experiment(cfg, workers=2)
+
+    def test_workers_are_capped_at_the_trial_count(self, monkeypatch):
+        # a real pool forks all of max_workers at its first submit; this stand-in forks none
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        cfg = load_config(SMALL)  # 3 trials
+        serial = run_experiment(cfg)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+        assert run_experiment(cfg, workers=64) == serial
+        assert sizes == [3]
+        run_experiment(load_config(ONE_TRIAL), workers=8)  # one trial runs serially, with no pool
+        assert sizes == [3]
 
     def test_single_warmup_sample_below_multiplexing_order(self):
         # one warm-up sample spans rank 1, so the second column is a completion
@@ -335,7 +364,6 @@ OTHER_VALUE = {
     "ooja_delta": 1.0,
     "psk_order": 4,
     "n_data_symbols": 100,
-    "p_t_bs": 2.0,
     "snr_grid_db": (0.0, 5.0),
     "n_trials": 3,
     "master_seed": 2,
@@ -486,6 +514,8 @@ class TestCli:
             # at 3070 dB even 10^(x/10) * n_ms, the first product of a trial's power, is finite
             ("n_bs = 16\nn_ms = 8\nn_rf_bs = 8\nn_rf_ms = 4\nn_trials = 1\nsnr_grid_db = 3080\n", "snr_grid_db"),
             ("n_bs = 16\nn_ms = 8\nn_rf_bs = 8\nn_rf_ms = 4\nn_trials = 1\nsnr_grid_db = 3070\n", "snr_grid_db"),
+            # 10^(x/10) is not 0, but p_t = 10^(x/10) n_ms sigma^2 underflows to 0 before the division
+            ("n_bs = 16\nn_ms = 8\nn_rf_bs = 8\nn_rf_ms = 4\nn_trials = 1\nsnr_grid_db = -3150\n", "snr_grid_db"),
             ("warmup = 0\n", "warmup"),
         ],
     )

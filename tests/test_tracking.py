@@ -195,7 +195,6 @@ class TestRunAndExtract:
         w0 = np.eye(4, dtype=complex)[:, :2]
         t = tracker_run(OojaTracker(w=w0), [])
         np.testing.assert_array_equal(t.w, w0)
-        assert t.step_count == 0
 
     def test_single_sample_equals_one_step(self):
         rng = np.random.default_rng(2)
@@ -245,7 +244,6 @@ class TestStackedStreams:
         stack = self.streams()
         w0, lam0 = init_from_samples(stack[:, :10], 2)
         stacked = tracker_run(make(w0, lam0), np.moveaxis(stack[:, 10:], 1, 0))
-        assert stacked.step_count == 20
         for k, stream in enumerate(stack):
             w1, lam1 = init_from_samples(stream[:10], 2)
             np.testing.assert_array_equal(w0[k], w1)
