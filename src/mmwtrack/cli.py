@@ -15,7 +15,8 @@ import time
 
 import numpy as np
 
-from .harness import ConfigError, _one_blas_thread, config_digest, emit_csv, load_config, resolved_text
+from . import harness
+from .harness import ConfigError, _pool_width, config_digest, emit_csv, load_config, resolved_text
 from .harness import run_experiment
 
 
@@ -37,8 +38,8 @@ def _manifest(cfg, workers: int, wall_s: float) -> str:
         "python": platform.python_version(),
         "numpy": np.__version__,
         **{var: os.environ.get(var, "unset") for var in THREAD_VARS},
-        # run_experiment has set it already; the repeat call only reports whether it could
-        "blas_threads_in_trials": 1 if _one_blas_thread() else "unknown",
+        # run_experiment set the bundled OpenBLAS to one thread, and left any other BLAS alone
+        "blas_threads_in_trials": 1 if harness._openblas() is not None else "unknown",
         "wall_s": format(wall_s, ".3f"),
     }
     return "".join(f"{key} = {value}\n" for key, value in fields.items())
@@ -74,7 +75,7 @@ def main(argv=None) -> int:
         return 0
 
     try:
-        workers = max(1, args.threads)
+        workers = _pool_width(args.threads, cfg.n_trials)
         start = time.perf_counter()
         records = run_experiment(cfg, workers=workers)
         emit_csv(records, args.out)

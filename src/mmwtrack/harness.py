@@ -25,19 +25,8 @@ import numpy as np
 from .channel import NOISE_VARIANCE, PATH_GAIN, ArrayConfig, ChannelParams, sample_channel
 from .evaluation import MetricConfig, dpsk_noise, dpsk_ser_trial, normalized_correlation
 from .evaluation import spectral_efficiency, spectral_efficiency_bound
-from .protocol import (
-    MODE_FD,
-    MODE_HY,
-    TRACKER_OOJA,
-    TRACKER_PASTD,
-    EstimatedBeamformers,
-    HybridFrontEnd,
-    ProtocolConfig,
-    TrackerSpec,
-    draw_probes,
-    make_front_end,
-    run_protocol,
-)
+from .protocol import EstimatedBeamformers, HybridFrontEnd, ProtocolConfig, TrackerSpec
+from .protocol import draw_probes, make_front_end, run_protocol
 
 
 class ConfigError(ValueError):
@@ -129,18 +118,10 @@ class ExperimentConfig:
             tracker=TrackerSpec(beta=self.pastd_beta, delta=self.ooja_delta),
         )
         metrics = MetricConfig(self.psk_order, self.n_data_symbols)
-        for x in self.snr_grid_db:
-            try:
-                ratio = 10.0 ** (x / 10.0)
-            except OverflowError:
-                ratio = math.inf
-            # a trial's p_t = ratio * n_ms * sigma^2 / ||H||^2, here at E||H||^2 = n_bs n_ms PATH_GAIN
-            p_t = ratio * self.n_ms * NOISE_VARIANCE / (self.n_bs * self.n_ms * PATH_GAIN)
-            if not (p_t > 0.0 and math.isfinite(p_t / NOISE_VARIANCE)):
-                raise ConfigError(
-                    f"snr_grid_db: {_fmt_value(x)} dB gives p_t {p_t} at the mean channel power: "
-                    "p_t must be > 0 and p_t / sigma^2 finite"
-                )
+        try:  # the trial's rule, at the mean channel power E||H||^2 = n_bs n_ms PATH_GAIN
+            _transmit_powers(self.snr_grid_db, self.n_ms, self.n_bs * self.n_ms * PATH_GAIN)
+        except ValueError as exc:
+            raise ConfigError(f"snr_grid_db: at the mean channel power, {exc}") from None
         if self.multiplexing_order > min(self.n_bs, self.n_ms):
             raise ConfigError("multiplexing_order must not exceed min(n_bs, n_ms)")
         if not (1 <= self.n_rf_bs <= self.n_bs and 1 <= self.n_rf_ms <= self.n_ms):
@@ -150,18 +131,13 @@ class ExperimentConfig:
             if len(set(value)) != len(value):
                 raise ConfigError(f"{key}: duplicate entries in {_fmt_value(value)!r}")
         variant_protocols = []
-        for name in self.variants:
+        for name in self.variants:  # <tracker kind>-<mode>, checked by the objects it builds
             kind, _, mode = name.partition("-")
-            if name == ORACLE:
-                variant_protocols.append(None)
-            elif kind in (TRACKER_PASTD, TRACKER_OOJA) and mode in (MODE_FD, MODE_HY):
-                tracker = replace(protocol.tracker, kind=kind)
-                variant_protocols.append(replace(protocol, mode=mode, tracker=tracker))
-            else:
-                raise ConfigError(
-                    f"variants: unknown variant {name!r} (expected pastd-fd, pastd-hy, "
-                    f"ooja-fd, ooja-hy or oracle)"
-                )
+            try:
+                variant_protocols.append(None if name == ORACLE else replace(
+                    protocol, mode=mode, tracker=replace(protocol.tracker, kind=kind)))
+            except ValueError as exc:
+                raise ConfigError(f"variants: {name!r}: {exc}") from None
         if self.n_trials < 1:
             raise ConfigError(f"n_trials must be >= 1, got {self.n_trials}")
         if len(self.snr_grid_db) == 0:
@@ -221,6 +197,9 @@ def load_config(source) -> ExperimentConfig:
 
 
 def _fmt_value(value) -> str:
+    """A config value or CSV cell: floats to 17 significant digits, None as the empty cell."""
+    if value is None:
+        return ""
     if isinstance(value, tuple):
         return ",".join(_fmt_value(v) for v in value)
     if isinstance(value, float):
@@ -258,6 +237,22 @@ def _check_metrics(eta_u, eta_v, se, se_oracle) -> None:
         raise _StreamFault(f"spectral efficiency {se[i]} exceeds the oracle's {se_oracle[i]}", i)
 
 
+def _transmit_powers(snr_grid_db, n_ms: int, h2: float) -> tuple:
+    """p_t = 10^(x/10) n_ms sigma^2 / h2 at each SNR point x (1 if h2 <= 0) for ||H||^2 = h2;
+    ValueError at the first point where p_t is 0 or p_t / sigma^2 is not finite."""
+    p_ts = []
+    for x in snr_grid_db:
+        try:
+            p_t = 10.0 ** (x / 10.0) * n_ms * NOISE_VARIANCE / h2 if h2 > 0 else 1.0
+        except OverflowError:
+            p_t = math.inf
+        if not (p_t > 0.0 and math.isfinite(p_t / NOISE_VARIANCE)):
+            fault = "p_t / sigma^2 is not finite" if p_t > 0.0 else "p_t is not > 0"
+            raise ValueError(f"transmit power {p_t} at snr_db {x}: {fault} (||H||^2 = {h2})")
+        p_ts.append(p_t)
+    return tuple(p_ts)
+
+
 def _trial_records(cfg: ExperimentConfig, trial_idx: int) -> list:
     chan_rng = np.random.default_rng(
         np.random.SeedSequence(cfg.master_seed, spawn_key=(0, trial_idx))
@@ -267,12 +262,7 @@ def _trial_records(cfg: ExperimentConfig, trial_idx: int) -> list:
     m = cfg.protocol.m
     try:
         chan = sample_channel(cfg.channel, cfg.bs, cfg.ms, chan_rng)
-        h2 = float(np.linalg.norm(chan.h) ** 2)
-        p_ts = tuple(10.0 ** (x / 10.0) * n_ms * NOISE_VARIANCE / h2 if h2 > 0 else 1.0 for x in snrs)
-        for x, p_t in zip(snrs, p_ts):
-            if not (p_t > 0.0 and math.isfinite(p_t / NOISE_VARIANCE)):
-                fault = "p_t / sigma^2 is not finite" if p_t > 0.0 else "p_t is not > 0"
-                raise ValueError(f"transmit power {p_t} at snr_db {x}: {fault} (||H||^2 = {h2})")
+        p_ts = _transmit_powers(snrs, n_ms, float(np.linalg.norm(chan.h) ** 2))
         # the same for every variant: the oracle's rate and the DPSK link at each power
         bound = spectral_efficiency_bound(chan.sigma[:m], p_ts, NOISE_VARIANCE)
         mcfg = replace(cfg.metrics, p_t_bs=p_ts)
@@ -322,41 +312,38 @@ def _trial_records(cfg: ExperimentConfig, trial_idx: int) -> list:
 
 @functools.cache
 def _openblas():
-    """numpy's bundled scipy-openblas, loaded through ctypes, or None when numpy links another BLAS."""
+    """numpy's bundled scipy-openblas through ctypes, with scipy_openblas_set_num_threads64_
+    declared, or None when numpy links another BLAS."""
     libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
     for path in glob.glob(os.path.join(libs, "libscipy_openblas*")):
         try:
             lib = ctypes.CDLL(path)  # the copy numpy already loaded, so its thread count
             set_threads = lib.scipy_openblas_set_num_threads64_
-            get_threads = lib.scipy_openblas_get_num_threads64_
         except (OSError, AttributeError):
             continue
         set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
         return lib
     return None
 
 
-def _one_blas_thread() -> bool:
-    """Run numpy's bundled OpenBLAS on one thread; False, doing nothing, for any other BLAS."""
-    lib = _openblas()
-    if lib is None:
-        return False
-    lib.scipy_openblas_set_num_threads64_(1)
-    return True
+def _pool_width(workers: int, n_trials: int) -> int:
+    """The worker count a run uses: at least 1, at most one per trial."""
+    return max(1, min(workers, n_trials))
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list:
     """All trial records for a config, ordered by (variant, SNR, trial).
 
-    It first sets numpy's bundled OpenBLAS to one thread and leaves it there:
-    a trial's small products gain little from a second thread, which spins
-    between calls, and forked pool workers inherit the count. The caller's
-    process stays on one BLAS thread. Record bytes do not depend on it.
+    It first sets numpy's bundled OpenBLAS to one thread, leaving any other BLAS
+    alone: a trial's small products gain little from a second thread, which spins
+    between calls, and forked pool workers inherit the count. The caller's process
+    stays on one BLAS thread. Record bytes do not depend on it.
     """
-    _one_blas_thread()
+    lib = _openblas()
+    if lib is not None:
+        lib.scipy_openblas_set_num_threads64_(1)
     trials = range(cfg.n_trials)
-    workers = min(workers, cfg.n_trials)  # the pool forks all its workers at the first submit
+    workers = _pool_width(workers, cfg.n_trials)  # the pool forks all its workers at the first submit
     if workers > 1:
         chunk = max(1, cfg.n_trials // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -365,10 +352,6 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list:
         per_trial = [_trial_records(cfg, t) for t in trials]
     # each trial lists its records in (variant, SNR) order: the k-th of every trial, in trial order
     return [rec for same_k in zip(*per_trial) for rec in same_k]
-
-
-def _fmt_float(x) -> str:
-    return "" if x is None else format(float(x), ".17g")
 
 
 _QUANTILES = (0.10, 0.25, 0.75, 0.90)
@@ -380,7 +363,7 @@ def _stats_cells(values) -> list:
         return [""] * (2 + len(_QUANTILES))
     arr = np.asarray(values, dtype=float)
     stats = [arr.mean(), np.median(arr), *np.quantile(arr, _QUANTILES)]
-    return [_fmt_float(x) for x in stats]
+    return [_fmt_value(float(x)) for x in stats]
 
 
 def emit_csv(records, destination) -> None:
@@ -393,9 +376,9 @@ def emit_csv(records, destination) -> None:
         fh.write("trial,variant,snr_db,eta_u,eta_v,se_bits,ser,seed\n")
         for r in records:
             fh.write(
-                f"{r.trial_index},{r.variant},{_fmt_float(r.snr_db)},"
-                f"{_fmt_float(r.eta_u)},{_fmt_float(r.eta_v)},"
-                f"{_fmt_float(r.spectral_eff_bits)},{_fmt_float(r.ser)},{r.seed_used}\n"
+                f"{r.trial_index},{r.variant},{_fmt_value(r.snr_db)},"
+                f"{_fmt_value(r.eta_u)},{_fmt_value(r.eta_v)},"
+                f"{_fmt_value(r.spectral_eff_bits)},{_fmt_value(r.ser)},{r.seed_used}\n"
             )
 
     groups = {}
@@ -408,7 +391,7 @@ def emit_csv(records, destination) -> None:
     with open(os.path.join(destination, "aggregates.csv"), "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for (variant, snr_db), group in groups.items():
-            cells = [variant, _fmt_float(snr_db), str(len(group))]
+            cells = [variant, _fmt_value(snr_db), str(len(group))]
             cells += _stats_cells([g.eta_u for g in group])
             cells += _stats_cells([g.eta_v for g in group])
             cells += _stats_cells([g.spectral_eff_bits for g in group])

@@ -578,6 +578,39 @@ class TestCli:
         emit_csv(run_experiment(cfg), tmp_path / "direct")
         assert (out / "records.csv").read_bytes() == (tmp_path / "direct" / "records.csv").read_bytes()
 
+    def test_manifest_names_the_workers_that_ran(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_text(SMALL)  # 3 trials: a pool of 3, not of the 4 asked for
+        out = tmp_path / "out"
+        assert cli_main(["simulate", "--config", str(path), "--out", str(out), "--threads", "4"]) == 0
+        fields = dict(line.split(" = ", 1) for line in (out / "manifest.txt").read_text().splitlines())
+        assert fields["workers"] == "3"
+
+    @pytest.mark.parametrize("snr_db, accepted", [(-3131.0, True), (2972.5, True), (-3131.5, False), (2973.0, False)])
+    def test_validate_and_trial_accept_the_same_snr_points(self, tmp_path, capsys, monkeypatch, snr_db, accepted):
+        text = "n_bs = 16\nn_ms = 8\nn_rf_bs = 8\nn_rf_ms = 4\nn_trials = 1\nvariants = oracle\n"
+        path = tmp_path / "cfg.txt"
+        path.write_text(text + f"snr_grid_db = {snr_db}\n")
+        assert cli_main(["validate", "--config", str(path)]) == (0 if accepted else 2)
+        assert ("snr_grid_db" in capsys.readouterr().err) != accepted
+
+        # the trial, on a channel at the mean power n_bs n_ms PATH_GAIN that validate assumes
+        real = harness.sample_channel
+
+        def at_mean_power(*args):
+            chan = real(*args)
+            scale = math.sqrt(16 * 8 * harness.PATH_GAIN) / np.linalg.norm(chan.h)
+            return replace(chan, h=chan.h * scale, sigma=chan.sigma * scale)
+
+        monkeypatch.setattr(harness, "sample_channel", at_mean_power)
+        cfg = load_config(text)  # a point validate rejects cannot be loaded, so it is swapped in
+        object.__setattr__(cfg, "snr_grid_db", (snr_db,))
+        if accepted:
+            assert [r.snr_db for r in run_experiment(cfg)] == [snr_db]
+        else:
+            with pytest.raises(RuntimeError, match="trial 0, channel draw: transmit power"):
+                run_experiment(cfg)
+
     def test_seed_override_changes_digest_and_records(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text(SMALL.replace("n_trials = 3", "n_trials = 2"))
