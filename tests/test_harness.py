@@ -611,6 +611,17 @@ class TestCli:
             with pytest.raises(RuntimeError, match="trial 0, channel draw: transmit power"):
                 run_experiment(cfg)
 
+    def test_ooja_overflow_is_named_not_recorded(self, tmp_path, capsys):
+        # 260 dB passes validate, but OOJA's unscaled step overflows on samples of that power
+        path = tmp_path / "cfg.txt"
+        path.write_text("n_bs = 16\nn_ms = 8\nn_rf_bs = 8\nn_rf_ms = 4\nn_trials = 1\nsnr_grid_db = 260\n")
+        assert cli_main(["validate", "--config", str(path)]) == 0
+        with np.errstate(all="ignore"):
+            assert cli_main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "runtime error: trial 0, variant ooja-" in err
+        assert not (tmp_path / "out" / "records.csv").exists()
+
     def test_seed_override_changes_digest_and_records(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text(SMALL.replace("n_trials = 3", "n_trials = 2"))
