@@ -5,13 +5,24 @@ its own worker count, and the ``SMALL`` config of ``tests/test_harness.py``
 on one worker. A change that must keep every record's bytes keeps this table.
 Outputs go to a temporary directory that is removed afterwards.
 
+With ``--against DIR``, each run is repeated in a subprocess on the ``src/``
+of the checkout at DIR, and the table adds, per run, the largest |delta| of
+each numeric column of records.csv and whether the rows' (trial, variant,
+snr_db, seed) keys match in order. A change that moves numbers at rounding
+level reports them from this table.
+
     python tools/record_hashes.py
+    python tools/record_hashes.py --against ../parent-checkout
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
+import csv
 import hashlib
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -21,6 +32,17 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import mmwtrack  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
+
+NUMERIC = ("eta_u", "eta_v", "se_bits", "ser")
+KEYS = ("trial", "variant", "snr_db", "seed")
+
+# argv: out directory, workers; the config text on stdin
+RUN_ELSEWHERE = """
+import sys
+import mmwtrack
+cfg = mmwtrack.load_config(sys.stdin.read())
+mmwtrack.emit_csv(mmwtrack.run_experiment(cfg, workers=int(sys.argv[2])), sys.argv[1])
+"""
 
 
 def small_config() -> str:
@@ -39,14 +61,50 @@ def digests(config_text: str, workers: int, out: Path) -> tuple:
                  for name in ("records.csv", "aggregates.csv"))
 
 
-def main() -> int:
+def run_against(checkout: Path, config_text: str, workers: int, out: Path) -> None:
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    subprocess.run([sys.executable, "-c", RUN_ELSEWHERE, str(out), str(workers)], input=config_text,
+                   text=True, env=env, check=True, cwd=checkout)
+
+
+def compare(ours: Path, theirs: Path) -> list:
+    """Largest |delta| per numeric column, then whether the row keys match in order."""
+    def rows(path):
+        with open(path / "records.csv", encoding="utf-8", newline="") as fh:
+            return list(csv.DictReader(fh))
+
+    a, b = rows(ours), rows(theirs)
+    keys_match = [tuple(r[k] for k in KEYS) for r in a] == [tuple(r[k] for k in KEYS) for r in b]
+    cells = []
+    for col in NUMERIC:
+        worst = 0.0
+        for ra, rb in zip(a, b):
+            if (ra[col] == "") != (rb[col] == ""):
+                worst = float("inf")
+            elif ra[col] != "":
+                worst = max(worst, abs(float(ra[col]) - float(rb[col])))
+        cells.append(f"{worst:.2g}")
+    return cells + ["yes" if keys_match else "NO"]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--against", type=Path, help="a checkout whose src/ to compare the records with")
+    args = parser.parse_args(argv)
     runs = [(name, w.config_text(seed=3, n_trials=3), w.workers) for name, w in WORKLOADS.items()]
     runs.append(("SMALL", small_config(), 1))
-    print("| run | records / aggregates |\n| --- | --- |")
+    header = ["run", "records / aggregates"]
+    if args.against:
+        header += [f"max abs delta {col}" for col in NUMERIC] + ["keys match"]
+    print("| " + " | ".join(header) + " |\n|" + " --- |" * len(header))
     with tempfile.TemporaryDirectory() as tmp:
         for name, text, workers in runs:
             records, aggregates = digests(text, workers, Path(tmp) / name)
-            print(f"| `{name}` | `{records}` / `{aggregates}` |")
+            cells = [f"`{name}`", f"`{records}` / `{aggregates}`"]
+            if args.against:
+                run_against(args.against.resolve(), text, workers, Path(tmp) / f"{name}-against")
+                cells += compare(Path(tmp) / name, Path(tmp) / f"{name}-against")
+            print("| " + " | ".join(cells) + " |")
     return 0
 
 
