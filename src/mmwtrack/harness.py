@@ -5,7 +5,9 @@ names. Per-trial randomness is derived from the master seed and the trial and
 SNR indices through numpy SeedSequence spawn keys, so parallel and serial runs
 produce identical results. Channel realizations are keyed on the trial index
 alone, and probes and noise on (SNR index, trial), so every variant of a trial
-sees the same channel, probes and noise (paired comparison).
+sees the same channel, probes and noise (paired comparison). Trials run in
+chunks of consecutive trials, each variant's streams of a chunk stacked on
+(trial, SNR point) axes.
 """
 
 from __future__ import annotations
@@ -22,11 +24,12 @@ from itertools import repeat
 
 import numpy as np
 
-from .channel import NOISE_VARIANCE, PATH_GAIN, ArrayConfig, ChannelParams, sample_channel
+from .channel import NOISE_VARIANCE, PATH_GAIN, ArrayConfig, ChannelParams, ChannelRealization
+from .channel import sample_channel
 from .evaluation import MetricConfig, dpsk_noise, dpsk_ser_trial, normalized_correlation
 from .evaluation import spectral_efficiency, spectral_efficiency_bound
 from .protocol import EstimatedBeamformers, HybridFrontEnd, ProtocolConfig, TrackerSpec
-from .protocol import draw_probes, make_front_end, run_protocol
+from .protocol import ProbeBlock, draw_probes, make_front_end, run_protocol
 
 
 class ConfigError(ValueError):
@@ -217,19 +220,20 @@ def config_digest(cfg: ExperimentConfig) -> str:
 
 
 class _StreamFault(ValueError):
-    """A check failed on the first failing stream of a stack: args are (message, stream index)."""
+    """A check failed on the first failing stream of a stack: args are (message, flat stream index)."""
 
 
-def _check_beams(beams: EstimatedBeamformers, n: int) -> None:
+def _check_beams(beams: EstimatedBeamformers, shape: tuple) -> None:
     for name, d in (("d_ms", beams.d_ms), ("d_bs", beams.d_bs)):
-        d = np.broadcast_to(d, (n,) + d.shape[-2:])
+        d = np.broadcast_to(d, shape + d.shape[-2:])
         norms = np.sqrt(np.vecdot(d, d, axis=-2).real)
         for i in np.flatnonzero(~np.all(np.abs(norms - 1.0) <= 1e-9, axis=-1))[:1]:  # NaN, inf too
-            fault = "is not finite" if not np.all(np.isfinite(d[i])) else "is not unit norm"
-            raise _StreamFault(f"{name} {fault}", i)
+            finite = np.all(np.isfinite(d[np.unravel_index(i, shape)]))
+            raise _StreamFault(f"{name} {'is not unit norm' if finite else 'is not finite'}", i)
 
 
 def _check_metrics(eta_u, eta_v, se, se_oracle) -> None:
+    eta_u, eta_v, se, se_oracle = (np.ravel(x) for x in (eta_u, eta_v, se, se_oracle))
     valid = (0.0 <= eta_u) & (eta_u <= 1.0) & (0.0 <= eta_v) & (eta_v <= 1.0) & np.isfinite(se)
     for i in np.flatnonzero(~valid)[:1]:
         raise _StreamFault(f"invalid metrics: eta_u {eta_u[i]}, eta_v {eta_v[i]}, se {se[i]}", i)
@@ -253,60 +257,80 @@ def _transmit_powers(snr_grid_db, n_ms: int, h2: float) -> tuple:
     return tuple(p_ts)
 
 
-def _trial_records(cfg: ExperimentConfig, trial_idx: int) -> list:
-    chan_rng = np.random.default_rng(
-        np.random.SeedSequence(cfg.master_seed, spawn_key=(0, trial_idx))
-    )
+# Trials per chunk, B. A chunk runs each variant's B x n_snr streams as one
+# stack: one run_protocol call, one tracker step per sample and one
+# check-and-score pass, so the per-call cost of Python and numpy, which
+# dominates a 7-stream stack, is paid once for B trials. B = 3 ran the `paper`
+# benchmark 1.3-1.4x as many trials/s as one trial per stack and kept peak RSS
+# within 6% on every workload; B = 4 added 8.6% at multiplexing order 2
+# (BENCH_chunks.json). B is fixed, so chunks follow the trial index alone, never
+# --threads, and records do not depend on B.
+CHUNK_TRIALS = 3
+
+
+def _chunk_records(cfg: ExperimentConfig, first: int) -> list:
+    """Each trial's records, in (variant, SNR) order, for the chunk of trials from first."""
+    trials = range(first, min(first + CHUNK_TRIALS, cfg.n_trials))
     snrs = cfg.snr_grid_db
     n_bs, n_ms = cfg.bs.n_elements, cfg.ms.n_elements
     m = cfg.protocol.m
-    try:
-        chan = sample_channel(cfg.channel, cfg.bs, cfg.ms, chan_rng)
-        p_ts = _transmit_powers(snrs, n_ms, float(np.linalg.norm(chan.h) ** 2))
-        # the same for every variant: the oracle's rate and the DPSK link at each power
-        bound = spectral_efficiency_bound(chan.sigma[:m], p_ts, NOISE_VARIANCE)
-        mcfg = replace(cfg.metrics, p_t_bs=p_ts)
-    except Exception as exc:
-        raise RuntimeError(f"trial {trial_idx}, channel draw: {exc}") from exc
-    u1 = chan.u[:, 0]
-    v1 = chan.v[:, 0]
-    oracle = EstimatedBeamformers(d_ms=chan.u[:, :m], d_bs=chan.v[:, :m])
-
-    # one stream per SNR point, shared by every variant (common random numbers):
-    # each generator draws phase (a)'s block, phase (b)'s block, then the DPSK noise
-    seqs = [np.random.SeedSequence(cfg.master_seed, spawn_key=(1, si, trial_idx))
-            for si in range(len(snrs))]
-    seeds = [int(seq.generate_state(1)[0]) for seq in seqs]
-    rngs = [np.random.default_rng(seq) for seq in seqs]
-    probes = (draw_probes(rngs, cfg.protocol.p_bs, n_bs, n_ms),
-              draw_probes(rngs, cfg.protocol.p_ms, m, n_bs))
-    noise = dpsk_noise(rngs, cfg.metrics.n_data_symbols) if m == 1 else None
-
-    records = []
-    for name, protocol in zip(cfg.variants, cfg.variant_protocols):
-        where = f"trial {trial_idx}, variant {name}, snr_db {{}}, seed_used {{}}: {{}}"
+    chans, p_ts, bounds, mcfgs = [], [], [], []
+    for t in trials:
+        chan_rng = np.random.default_rng(np.random.SeedSequence(cfg.master_seed, spawn_key=(0, t)))
         try:
-            beams = oracle  # one pair of beams, scored at every power of the stack
+            chans.append(sample_channel(cfg.channel, cfg.bs, cfg.ms, chan_rng))
+            p_ts.append(_transmit_powers(snrs, n_ms, float(np.linalg.norm(chans[-1].h) ** 2)))
+            # the same for every variant: the oracle's rate and the DPSK link at each power
+            bounds.append(spectral_efficiency_bound(chans[-1].sigma[:m], p_ts[-1], NOISE_VARIANCE))
+            mcfgs.append(replace(cfg.metrics, p_t_bs=p_ts[-1]))
+        except Exception as exc:
+            raise RuntimeError(f"trial {t}, channel draw: {exc}") from exc
+    # the chunk's channels as one realization with axes (trial, 1, ...), broadcast over the SNR axis
+    arrays = {k: np.stack([getattr(c, k) for c in chans])[:, None] for k in ("h", "u", "sigma", "v")}
+    chunk = ChannelRealization(**arrays, rays=tuple(c.rays for c in chans))
+    oracle = EstimatedBeamformers(d_ms=chunk.u[..., :m], d_bs=chunk.v[..., :m])
+
+    # one stream per (trial, SNR point), shared by every variant (common random numbers):
+    # each generator draws phase (a)'s block, phase (b)'s block, then the DPSK noise
+    shape = (len(trials), len(snrs))
+    seqs = [[np.random.SeedSequence(cfg.master_seed, spawn_key=(1, si, t)) for si in range(len(snrs))]
+            for t in trials]
+    seeds = [[int(seq.generate_state(1)[0]) for seq in row] for row in seqs]
+    rngs = [np.random.default_rng(seq) for row in seqs for seq in row]  # in (trial, SNR) order
+    probes = tuple(ProbeBlock(*(a.reshape(shape + a.shape[1:]) for a in draw_probes(rngs, p, n_tx, n_rx)))
+                   for p, n_tx, n_rx in ((cfg.protocol.p_bs, n_bs, n_ms), (cfg.protocol.p_ms, m, n_bs)))
+    noise = dpsk_noise(rngs, cfg.metrics.n_data_symbols).reshape(shape + (2, -1)) if m == 1 else None
+
+    records = [[] for _ in trials]
+    for name, protocol in zip(cfg.variants, cfg.variant_protocols):
+        def where(t, snr_db, seed_used):
+            return f"trial {t}, variant {name}, snr_db {snr_db}, seed_used {seed_used}"
+
+        try:
+            beams = oracle  # one pair of beams per trial, scored at every power of the stack
             if protocol is not None:
-                pcfg = replace(protocol, tx_power_scale=p_ts)
-                beams = run_protocol(chan, pcfg, cfg.front_end, NOISE_VARIANCE, probes)
-            _check_beams(beams, len(snrs))  # before scoring: a zero-norm column fails it for all
-            se = spectral_efficiency(chan.h, beams.d_ms, beams.d_bs, p_ts, NOISE_VARIANCE)
-            eta_u = np.broadcast_to(normalized_correlation(u1, beams.d_ms[..., 0]), se.shape)
-            eta_v = np.broadcast_to(normalized_correlation(v1, beams.d_bs[..., 0]), se.shape)
-            _check_metrics(eta_u, eta_v, se, bound)
-            sers = [None] * len(snrs)
-            if m == 1:
-                sers = dpsk_ser_trial(chan, beams, mcfg, NOISE_VARIANCE, noise).tolist()
+                pcfg = replace(protocol, tx_power_scale=tuple(p_ts))
+                beams = run_protocol(chunk, pcfg, cfg.front_end, NOISE_VARIANCE, probes)
+            _check_beams(beams, shape)  # before scoring: a zero-norm column fails it for all
+            se = spectral_efficiency(chunk.h, beams.d_ms, beams.d_bs, np.array(p_ts), NOISE_VARIANCE)
+            eta_u = np.broadcast_to(normalized_correlation(chunk.u[..., 0], beams.d_ms[..., 0]), shape)
+            eta_v = np.broadcast_to(normalized_correlation(chunk.v[..., 0], beams.d_bs[..., 0]), shape)
+            _check_metrics(eta_u, eta_v, se, np.array(bounds))
+            sers = [[None] * len(snrs)] * len(trials)
+            if m == 1:  # scored one trial at a time: its DPSK arrays are n_snr x n_data_symbols
+                sers = [dpsk_ser_trial(chan, EstimatedBeamformers(beams.d_ms[b], beams.d_bs[b]), mcfg,
+                                       NOISE_VARIANCE, noise[b]).tolist()
+                        for b, (chan, mcfg) in enumerate(zip(chans, mcfgs))]
         except _StreamFault as exc:  # a check names the stream it failed on
             fault, i = exc.args
-            raise RuntimeError(where.format(snrs[i], seeds[i], fault)) from exc
+            b, si = np.unravel_index(i, shape)
+            raise RuntimeError(f"{where(trials[b], snrs[si], seeds[b][si])}: {fault}") from exc
         except Exception as exc:  # a stacked call's failure is not one stream's: it names them all
-            raise RuntimeError(where.format(snrs, seeds, exc)) from exc
-        records += [
-            TrialRecord(trial_idx, name, *row)
-            for row in zip(snrs, eta_u.tolist(), eta_v.tolist(), se.tolist(), sers, seeds)
-        ]
+            stack = "; ".join(where(t, snrs, seeds_t) for t, seeds_t in zip(trials, seeds))
+            raise RuntimeError(f"{stack}: {exc}") from exc
+        for b, t in enumerate(trials):
+            rows = zip(snrs, eta_u[b].tolist(), eta_v[b].tolist(), se[b].tolist(), sers[b], seeds[b])
+            records[b] += [TrialRecord(t, name, *row) for row in rows]
     return records
 
 
@@ -327,12 +351,16 @@ def _openblas():
 
 
 def _pool_width(workers: int, n_trials: int) -> int:
-    """The worker count a run uses: at least 1, at most one per trial."""
-    return max(1, min(workers, n_trials))
+    """The worker count a run uses: at least 1, at most one per chunk of trials."""
+    return max(1, min(workers, -(-n_trials // CHUNK_TRIALS)))
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list:
     """All trial records for a config, ordered by (variant, SNR, trial).
+
+    The trials run in chunks of CHUNK_TRIALS consecutive trials, serially or as
+    pool tasks on at most one worker per chunk; neither the chunk size nor the
+    worker count changes a record's bytes.
 
     It first sets numpy's bundled OpenBLAS to one thread, leaving any other BLAS
     alone: a trial's small products gain little from a second thread, which spins
@@ -342,14 +370,15 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list:
     lib = _openblas()
     if lib is not None:
         lib.scipy_openblas_set_num_threads64_(1)
-    trials = range(cfg.n_trials)
+    firsts = range(0, cfg.n_trials, CHUNK_TRIALS)
     workers = _pool_width(workers, cfg.n_trials)  # the pool forks all its workers at the first submit
     if workers > 1:
-        chunk = max(1, cfg.n_trials // (workers * 4))
+        per_map = max(1, len(firsts) // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_trial = list(pool.map(_trial_records, repeat(cfg), trials, chunksize=chunk))
+            chunks = list(pool.map(_chunk_records, repeat(cfg), firsts, chunksize=per_map))
     else:
-        per_trial = [_trial_records(cfg, t) for t in trials]
+        chunks = [_chunk_records(cfg, first) for first in firsts]
+    per_trial = [records for chunk in chunks for records in chunk]
     # each trial lists its records in (variant, SNR) order: the k-th of every trial, in trial order
     return [rec for same_k in zip(*per_trial) for rec in same_k]
 

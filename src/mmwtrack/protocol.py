@@ -113,7 +113,7 @@ def _lift_and_normalize(d_rf, d_bb):
 
 
 class ProbeBlock(NamedTuple):
-    """One phase's draws for S streams: +-1 signs (S, P, n_tx), unit-variance noise (S, P, n_rx)."""
+    """One phase's draws for a stack of streams: +-1 signs (..., P, n_tx), unit noise (..., P, n_rx)."""
 
     signs: np.ndarray
     re: np.ndarray
@@ -139,9 +139,10 @@ def _phase(link, d_rf, n_probes, cfg: ProtocolConfig, sigma2_n, block) -> np.nda
 
     Forms R = sqrt(rho) S link^T + sqrt(sigma2/2) N from the block's signs S and
     noise N, combines it as R conj(d_rf) unless d_rf is None, warm-starts on
-    cfg.warmup rows and tracks the rest. block is a drawn ProbeBlock of S streams,
-    which is only read, each stream with its own cfg.tx_power_scale and
-    optionally its own link; or one Generator, which draws one stream's block now.
+    cfg.warmup rows and tracks the rest. block is a drawn ProbeBlock of a stack of
+    streams, which is only read, each stream with its own cfg.tx_power_scale and
+    a link of its own or broadcast over the stack's axes; or one Generator, which
+    draws one stream's block now.
     """
     if isinstance(block, np.random.Generator):
         if link.ndim > 2 or np.ndim(cfg.tx_power_scale) > 0:
@@ -186,9 +187,10 @@ def run_phase_a(
 ) -> np.ndarray:
     """Downlink probing; returns the tracked left-subspace basis.
 
-    rng is one Generator (one stream) or a drawn ProbeBlock of S streams, whose
-    basis gains a leading stream axis. Full antenna dimension in FD mode,
-    RF-chain dimension in hybrid mode.
+    rng is one Generator (one stream) or a drawn ProbeBlock of a stack of
+    streams, whose basis gains the stack's leading axes; chan.h may then carry
+    leading axes that broadcast against them. Full antenna dimension in FD
+    mode, RF-chain dimension in hybrid mode.
     """
     d_ms_rf, _ = _combiners(cfg, front)
     return _phase(chan.h, d_ms_rf, cfg.p_bs, cfg, sigma2_n, rng)
@@ -204,13 +206,13 @@ def run_phase_b(
 ) -> np.ndarray:
     """Uplink probing through the estimated precoder d_ms; returns the tracked right basis.
 
-    rng as in run_phase_a; with a ProbeBlock, d_ms may be an (S, n_ms, m) stack.
+    rng and chan.h as in run_phase_a; with a ProbeBlock, d_ms may be a (..., n_ms, m) stack.
     """
-    n_ms, n_bs = chan.h.shape
+    n_ms, n_bs = chan.h.shape[-2:]
     if d_ms.shape[-2:] != (n_ms, cfg.m):
         raise ValueError(f"d_ms has shape {d_ms.shape}, expected ({n_ms}, {cfg.m})")
     _, d_bs_rf = _combiners(cfg, front)
-    return _phase(chan.h.conj().T @ d_ms, d_bs_rf, cfg.p_ms, cfg, sigma2_n, rng)
+    return _phase(chan.h.conj().mT @ d_ms, d_bs_rf, cfg.p_ms, cfg, sigma2_n, rng)
 
 
 def run_protocol(
@@ -223,9 +225,10 @@ def run_protocol(
     """Run both phases and return unit-column beamformers; hybrid mode needs a front end.
 
     rng is one Generator, which draws phase (a)'s block and then phase (b)'s
-    for one stream, or a pair of drawn ProbeBlocks (phase a, phase b) of S
-    streams with S values of cfg.tx_power_scale: the streams run stacked and
-    every beamformer gains a leading stream axis.
+    for one stream, or a pair of drawn ProbeBlocks (phase a, phase b) of a
+    stack of streams with one cfg.tx_power_scale value per stream: the streams
+    run stacked and every beamformer gains the stack's leading axes. chan.h
+    may carry leading axes too, which broadcast against the stack's.
     """
     rng_a, rng_b = (rng, rng) if isinstance(rng, np.random.Generator) else rng
     d_ms_rf, d_bs_rf = _combiners(cfg, front)

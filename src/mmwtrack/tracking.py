@@ -94,11 +94,12 @@ class OojaTracker:
     orthonormalizing correction is the same for both because the residual is
     orthogonal to the current basis.
 
-    w of shape (S, n, m) tracks S streams at once. w is a view into a buffer
-    holding W^T and the current sample as one more row, per stream, so that one
-    batched matrix-vector product gives W^H x and |x|^2 for every stream and
-    another gives every update direction. The scalars in between are Python
-    floats: for a few streams they cost less than numpy calls on S entries.
+    w of shape (..., n, m) tracks a stack of streams at once. w is a view into
+    a buffer holding W^T and the current sample as one more row, per stream, so
+    that one batched matrix-vector product gives W^H x and |x|^2 for every
+    stream and another gives every update direction. One stream takes the
+    scalars in between as Python floats, which cost less than numpy calls; a
+    stack takes them as arrays, in the same order of operations.
     Update w in place; rebinding it detaches it from the buffer.
     """
 
@@ -119,7 +120,6 @@ class OojaTracker:
         wt[...] = np.swapaxes(w, -1, -2)
         self.w = np.swapaxes(wt, -1, -2)
         g = np.empty((*lead, m + 1), dtype=complex)  # [conj(v); |x|^2], v = W^H x
-        u = np.empty_like(g)  # update direction's coefficients on the buffer rows
         a = np.empty((*lead, n), dtype=complex)  # update direction
         self._work = (
             buf,
@@ -128,9 +128,7 @@ class OojaTracker:
             np.swapaxes(buf, -1, -2),
             np.empty_like(a),  # conj(x)
             g,
-            g.reshape(-1, m + 1),
-            u,
-            u.reshape(-1),
+            np.empty_like(g),  # u: the update direction's coefficients on the buffer rows
             g[..., :m, None],
             a,
             a[..., None, :],
@@ -141,36 +139,52 @@ class OojaTracker:
 
     def step(self, r) -> "OojaTracker":
         x = np.asarray(r, dtype=complex)
-        buf, slot, wt, buf_t, xc, g, g_rows, u, u_flat, vc_col, a, a_row, outer, mv = self._work
+        buf, slot, wt, buf_t, xc, g, u, vc_col, a, a_row, outer, mv = self._work
         if x.shape != slot.shape:
             raise ValueError(f"sample has shape {x.shape}, expected {slot.shape}")
         slot[...] = x
         np.conjugate(slot, xc)
         mv(buf, xc, out=g)
-        d2, sd = self.delta**2, self.sign * self.delta
-        coefficients = []  # u = [(tau - c) v; c] per stream, flattened
-        for row in g_rows.tolist():
-            vc = row[:-1]
-            nv2 = 0.0
-            for z in vc:
-                nv2 += z.real * z.real + z.imag * z.imag
-            if nv2 < PROJ_NORM_FLOOR:
-                # update degenerates to the identity map as v -> 0
-                coefficients += [0j] * len(row)
-                continue
-            # |p|^2 for p = x - W v, by Pythagoras since W has orthonormal columns
-            np2 = max(row[-1].real - nv2, 0.0)
-            phi = 1.0 / math.sqrt(1.0 + d2 * np2 * nv2)
-            c = sd * phi
-            tau = (phi - 1.0) / nv2
-            # W (I + tau v v^H) + c p v^H = W + ((tau - c) W v + c x) v^H
-            coefficients += [(tau - c) * z.conjugate() for z in vc]
-            coefficients.append(c)
-        u_flat[...] = coefficients
+        if g.ndim == 1:
+            u[...] = self._coefficients(g.tolist())
+        else:
+            self._stack_coefficients(g, u)
         mv(buf_t, u, out=a)
         np.multiply(vc_col, a_row, out=outer)
         wt += outer
         return self
+
+    def _coefficients(self, row) -> list:
+        """u = [(tau - c) v; c] for one stream's row [conj(v); |x|^2]."""
+        vc = row[:-1]
+        nv2 = 0.0
+        for z in vc:
+            nv2 += z.real * z.real + z.imag * z.imag
+        if nv2 < PROJ_NORM_FLOOR:
+            # update degenerates to the identity map as v -> 0
+            return [0j] * len(row)
+        # |p|^2 for p = x - W v, by Pythagoras since W has orthonormal columns
+        np2 = max(row[-1].real - nv2, 0.0)
+        phi = 1.0 / math.sqrt(1.0 + self.delta**2 * np2 * nv2)
+        c = self.sign * self.delta * phi
+        tau = (phi - 1.0) / nv2
+        # W (I + tau v v^H) + c p v^H = W + ((tau - c) W v + c x) v^H
+        return [(tau - c) * z.conjugate() for z in vc] + [c]
+
+    def _stack_coefficients(self, g, u) -> None:
+        """_coefficients for every stream of a stack at once, into u; the same operations in order."""
+        vc = g[..., :-1]
+        sq = vc.real * vc.real + vc.imag * vc.imag
+        nv2 = sq[..., 0]
+        for k in range(1, sq.shape[-1]):
+            nv2 = nv2 + sq[..., k]
+        np2 = np.maximum(g[..., -1].real - nv2, 0.0)
+        phi = 1.0 / np.sqrt(1.0 + self.delta**2 * np2 * nv2)
+        c = self.sign * self.delta * phi
+        degenerate = nv2 < PROJ_NORM_FLOOR  # the identity map there, as for one stream
+        tau = (phi - 1.0) / np.where(degenerate, 1.0, nv2)
+        np.multiply(np.where(degenerate, 0.0, tau - c)[..., None], np.conj(vc), out=u[..., :-1])
+        u[..., -1] = np.where(degenerate, 0.0, c)
 
     def basis(self) -> np.ndarray:
         return self.w.copy()

@@ -161,14 +161,15 @@ class TestLoadConfig:
 
 
 ONE_TRIAL = SMALL.replace("n_trials = 3", "n_trials = 1")
+SEVEN_TRIALS = SMALL.replace("n_trials = 3", "n_trials = 7")
 
 
 def fail_second_scoring(monkeypatch):
-    """Make spectral_efficiency raise on its second call: trial 0, the ooja-hy stack.
+    """Make spectral_efficiency raise on its second call: the first chunk's ooja-hy stack.
 
-    Each variant scores its SNR stack in one call, so the failure is the whole
-    stack's. Returns the seed_used of each (SNR, trial) stream, which every
-    variant shares.
+    Each variant scores its chunk's stack of (trial, SNR) streams in one call,
+    so the failure is the whole stack's. Returns the seed_used of trial 0's
+    stream at each SNR point, which every variant shares.
     """
     real = harness.spectral_efficiency
     calls = []
@@ -198,12 +199,15 @@ class TestRunExperiment:
         assert_names_the_failed_run(str(info.value), seeds_used)
 
     # a zero-norm column would fail the stacked scoring calls for every stream,
-    # so this case fails unless the beams are checked before they are scored
-    @pytest.mark.parametrize("entries, value, fault", [
-        ((1, 0, 0), np.nan, "d_ms is not finite"),
-        ((1, slice(None), 0), 0.0, "d_ms is not unit norm"),  # stream 1's first column
-    ], ids=["nan", "zero-norm"])
-    def test_bad_beam_names_its_own_stream(self, monkeypatch, entries, value, fault):
+    # so this case fails unless the beams are checked before they are scored.
+    # The stack's axes are (trial of the chunk, SNR point); SMALL's 3 trials are one chunk.
+    @pytest.mark.parametrize("n_trials, entries, value, fault", [
+        (1, (0, 1, 0, 0), np.nan, "d_ms is not finite"),
+        (1, (0, 1, slice(None), 0), 0.0, "d_ms is not unit norm"),  # stream 1's first column
+        (3, (2, 1, 0, 0), np.nan, "d_ms is not finite"),  # in the chunk's last trial
+        (3, (2, 1, slice(None), 0), 0.0, "d_ms is not unit norm"),
+    ], ids=["nan", "zero-norm", "nan-last-trial-of-chunk", "zero-norm-last-trial-of-chunk"])
+    def test_bad_beam_names_its_own_stream(self, monkeypatch, n_trials, entries, value, fault):
         real = harness.run_protocol
 
         def bad_second_stream(chan, cfg, front, sigma2, rngs):
@@ -212,15 +216,16 @@ class TestRunExperiment:
             return beams
 
         monkeypatch.setattr(harness, "run_protocol", bad_second_stream)
-        text = ONE_TRIAL.replace("snr_grid_db = 0,10", "snr_grid_db = 0,10,20")
+        text = SMALL.replace("snr_grid_db = 0,10", "snr_grid_db = 0,10,20")
         with pytest.raises(RuntimeError) as info:
-            run_experiment(load_config(text))
-        seq = np.random.SeedSequence(7, spawn_key=(1, 1, 0))  # 10 dB, trial 0
+            run_experiment(load_config(text.replace("n_trials = 3", f"n_trials = {n_trials}")))
+        trial = n_trials - 1
+        seq = np.random.SeedSequence(7, spawn_key=(1, 1, trial))  # 10 dB
         message = str(info.value)
-        for part in ("trial 0", "variant pastd-fd", "snr_db 10.0", fault):
+        for part in (f"trial {trial}", "variant pastd-fd", "snr_db 10.0", fault):
             assert part in message
         assert f"seed_used {int(seq.generate_state(1)[0])}:" in message
-        assert "snr_db 0.0" not in message
+        assert "snr_db 0.0" not in message and message.count("trial ") == 1
 
     def test_rate_above_the_oracle_names_its_own_stream(self, monkeypatch):
         real = harness.spectral_efficiency
@@ -229,19 +234,33 @@ class TestRunExperiment:
         def inflated(*args, **kwargs):
             calls.append(None)
             se = real(*args, **kwargs)
-            if len(calls) == 1:  # the pastd-fd stack: only its 10 dB stream
-                se[1] += 1.0
+            if len(calls) == 1:  # the pastd-fd stack: only the last trial's 10 dB stream
+                se[-1, 1] += 1.0
             return se
 
         monkeypatch.setattr(harness, "spectral_efficiency", inflated)
+        for n_trials in (1, 3):  # one trial, then the last of a 3-trial chunk
+            calls.clear()
+            with pytest.raises(RuntimeError) as info:
+                run_experiment(load_config(SMALL.replace("n_trials = 3", f"n_trials = {n_trials}")))
+            trial = n_trials - 1
+            seq = np.random.SeedSequence(7, spawn_key=(1, 1, trial))  # 10 dB
+            message = str(info.value)
+            for part in (f"trial {trial}", "variant pastd-fd", "snr_db 10.0", "exceeds the oracle's"):
+                assert part in message
+            assert f"seed_used {int(seq.generate_state(1)[0])}:" in message
+            assert "snr_db 0.0" not in message and message.count("trial ") == 1
+
+    def test_stack_error_names_every_trial_of_its_chunk(self, monkeypatch):
+        fail_second_scoring(monkeypatch)
         with pytest.raises(RuntimeError) as info:
-            run_experiment(load_config(ONE_TRIAL))
-        seq = np.random.SeedSequence(7, spawn_key=(1, 1, 0))  # 10 dB, trial 0
+            run_experiment(load_config(SMALL))  # 3 trials: one chunk
         message = str(info.value)
-        for part in ("trial 0", "variant pastd-fd", "snr_db 10.0", "exceeds the oracle's"):
-            assert part in message
-        assert f"seed_used {int(seq.generate_state(1)[0])}:" in message
-        assert "snr_db 0.0" not in message
+        for trial in range(3):
+            seqs = [np.random.SeedSequence(7, spawn_key=(1, si, trial)) for si in range(2)]
+            seeds_used = [int(seq.generate_state(1)[0]) for seq in seqs]
+            assert f"trial {trial}, variant ooja-hy, snr_db (0.0, 10.0), seed_used {seeds_used}" in message
+        assert message.endswith(": injected failure")
 
     def test_channel_draw_error_names_its_trial(self, monkeypatch):
         def broken(*args):
@@ -285,7 +304,7 @@ class TestRunExperiment:
         assert run_experiment(cfg) == run_experiment(cfg)
 
     def test_parallel_matches_serial(self):
-        cfg = load_config(SMALL)
+        cfg = load_config(SEVEN_TRIALS)  # chunks of 3, 3 and 1 trials: the pool runs
         assert run_experiment(cfg, workers=1) == run_experiment(cfg, workers=2)
 
     def test_workers_are_capped_at_the_trial_count(self, monkeypatch):
@@ -305,12 +324,12 @@ class TestRunExperiment:
             def map(self, fn, *iterables, chunksize=1):
                 return map(fn, *iterables)
 
-        cfg = load_config(SMALL)  # 3 trials
+        cfg = load_config(SEVEN_TRIALS)  # 3 chunks
         serial = run_experiment(cfg)
         monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
         assert run_experiment(cfg, workers=64) == serial
-        assert sizes == [3]
-        run_experiment(load_config(ONE_TRIAL), workers=8)  # one trial runs serially, with no pool
+        assert sizes == [3]  # one worker per chunk
+        run_experiment(load_config(SMALL), workers=8)  # one chunk runs serially, with no pool
         assert sizes == [3]
 
     def test_single_warmup_sample_below_multiplexing_order(self):
@@ -397,6 +416,28 @@ class TestEveryKeyMovesARecord:
         assert any(moved(a, b) for row in cells for a, b in zip(cells[row], base_cells[row]))
 
 
+class TestChunks:
+    """Records do not depend on how many trials a chunk stacks."""
+
+    @staticmethod
+    def records_csv(cfg, workers, tmp_path, name) -> bytes:
+        emit_csv(run_experiment(cfg, workers=workers), tmp_path / name)
+        return (tmp_path / name / "records.csv").read_bytes()
+
+    @pytest.mark.parametrize("text, workers", [
+        (SEVEN_TRIALS, 1),
+        (SEVEN_TRIALS, 2),
+        (PAPER_SETUP + "n_trials = 7\nn_data_symbols = 200\n", 1),
+        (PAPER_SETUP + "n_trials = 7\nmultiplexing_order = 2\n", 1),
+    ], ids=["reduced", "reduced-2-workers", "paper", "paper-m2"])
+    def test_one_trial_chunks_give_the_same_bytes(self, monkeypatch, tmp_path, text, workers):
+        cfg = load_config(text)  # 7 trials: chunks of 3, 3 and 1
+        assert harness.CHUNK_TRIALS == 3
+        stacked = self.records_csv(cfg, workers, tmp_path, "stacked")
+        monkeypatch.setattr(harness, "CHUNK_TRIALS", 1)  # forked workers inherit it
+        assert self.records_csv(cfg, workers, tmp_path, "one-trial") == stacked
+
+
 class TestSharedDraws:
     """Every variant of a trial probes with the same draws (common random numbers)."""
 
@@ -408,7 +449,7 @@ class TestSharedDraws:
         records = run_experiment(cfg)
         # phase (a), then phase (b), per tracker variant in config order
         pastd_fd, ooja_fd, pastd_hy = streams[0], streams[2], streams[4]
-        assert len(streams) == 6 and pastd_fd.shape == (2, 30, 8)
+        assert len(streams) == 6 and pastd_fd.shape == (1, 2, 30, 8)  # (trial, SNR, probe, n_ms)
         assert pastd_fd.tobytes() == ooja_fd.tobytes()
         np.testing.assert_allclose(pastd_hy, pastd_fd @ cfg.front_end.d_ms_rf.conj(), rtol=1e-12)
         seeds = {}
@@ -559,7 +600,7 @@ class TestCli:
 
     def test_simulate_writes_a_manifest(self, tmp_path, monkeypatch):
         path = tmp_path / "cfg.txt"
-        path.write_text(SMALL.replace("n_trials = 3", "n_trials = 2"))
+        path.write_text(SMALL.replace("n_trials = 3", "n_trials = 4"))  # 2 chunks, so 2 workers
         out = tmp_path / "out"
         monkeypatch.setenv("OMP_NUM_THREADS", "3")
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
@@ -580,7 +621,7 @@ class TestCli:
 
     def test_manifest_names_the_workers_that_ran(self, tmp_path):
         path = tmp_path / "cfg.txt"
-        path.write_text(SMALL)  # 3 trials: a pool of 3, not of the 4 asked for
+        path.write_text(SEVEN_TRIALS)  # 3 chunks: a pool of 3, not of the 4 asked for
         out = tmp_path / "out"
         assert cli_main(["simulate", "--config", str(path), "--out", str(out), "--threads", "4"]) == 0
         fields = dict(line.split(" = ", 1) for line in (out / "manifest.txt").read_text().splitlines())
@@ -638,9 +679,10 @@ class TestCli:
             assert (out2 / name).read_bytes() == (out3 / name).read_bytes()
 
 
-def report_blas_threads(cfg, trial_idx):
-    """Stands in for harness._trial_records: where the trial ran and on how many BLAS threads."""
-    return [(os.getpid(), harness._openblas().scipy_openblas_get_num_threads64_())]
+def report_blas_threads(cfg, first):
+    """Stands in for harness._chunk_records: where the chunk ran and on how many BLAS threads,
+    as the one record of one trial."""
+    return [[(os.getpid(), harness._openblas().scipy_openblas_get_num_threads64_())]]
 
 
 class TestOneBlasThread:
@@ -657,8 +699,8 @@ class TestOneBlasThread:
 
     def test_pool_workers_run_on_one_thread(self, openblas, monkeypatch):
         # pool.map pickles the function by name, and the forked worker finds the patched one
-        monkeypatch.setattr(harness, "_trial_records", report_blas_threads)
-        reports = run_experiment(load_config(SMALL), workers=2)
+        monkeypatch.setattr(harness, "_chunk_records", report_blas_threads)
+        reports = run_experiment(load_config(SEVEN_TRIALS), workers=2)
         assert len(reports) == 3 and os.getpid() not in {pid for pid, _ in reports}
         assert {threads for _, threads in reports} == {1}
 
