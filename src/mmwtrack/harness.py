@@ -12,6 +12,7 @@ chunks of consecutive trials, each variant's streams of a chunk stacked on
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import glob
@@ -24,8 +25,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .channel import NOISE_VARIANCE, PATH_GAIN, ArrayConfig, ChannelParams, ChannelRealization
-from .channel import sample_channel
+from .channel import NOISE_VARIANCE, PATH_GAIN, ArrayConfig, ChannelParams, ChannelRealization, sample_channel
 from .evaluation import MetricConfig, dpsk_noise, dpsk_ser_trial, normalized_correlation
 from .evaluation import spectral_efficiency, spectral_efficiency_bound
 from .protocol import EstimatedBeamformers, HybridFrontEnd, ProtocolConfig, TrackerSpec
@@ -257,14 +257,10 @@ def _transmit_powers(snr_grid_db, n_ms: int, h2: float) -> tuple:
     return tuple(p_ts)
 
 
-# Trials per chunk, B. A chunk runs each variant's B x n_snr streams as one
-# stack: one run_protocol call, one tracker step per sample and one
-# check-and-score pass, so the per-call cost of Python and numpy, which
-# dominates a 7-stream stack, is paid once for B trials. B = 3 ran the `paper`
-# benchmark 1.3-1.4x as many trials/s as one trial per stack and kept peak RSS
-# within 6% on every workload; B = 4 added 8.6% at multiplexing order 2
-# (BENCH_chunks.json). B is fixed, so chunks follow the trial index alone, never
-# --threads, and records do not depend on B.
+# Trials per chunk, B: each variant's B x n_snr streams run as one stack, so the per-call cost
+# of Python and numpy, which dominates a 7-stream stack, is paid once per B trials. B = 3 ran
+# `paper` 1.3-1.4x as fast as one trial per stack within 6% of its peak RSS (BENCH_chunks.json);
+# chunk memory grows with B. B is fixed: chunks follow the trial index, never --threads.
 CHUNK_TRIALS = 3
 
 
@@ -288,10 +284,12 @@ def _chunk_records(cfg: ExperimentConfig, first: int) -> list:
     # the chunk's channels as one realization with axes (trial, 1, ...), broadcast over the SNR axis
     arrays = {k: np.stack([getattr(c, k) for c in chans])[:, None] for k in ("h", "u", "sigma", "v")}
     chunk = ChannelRealization(**arrays, rays=tuple(c.rays for c in chans))
+    # each trial's realization as views of the chunk's, so that the channels are held once
+    chans = [ChannelRealization(*(a[b, 0] for a in arrays.values()), c.rays) for b, c in enumerate(chans)]
     oracle = EstimatedBeamformers(d_ms=chunk.u[..., :m], d_bs=chunk.v[..., :m])
 
     # one stream per (trial, SNR point), shared by every variant (common random numbers):
-    # each generator draws phase (a)'s block, phase (b)'s block, then the DPSK noise
+    # each generator draws phase (a)'s block, phase (b)'s block, then the DPSK noise (below)
     shape = (len(trials), len(snrs))
     seqs = [[np.random.SeedSequence(cfg.master_seed, spawn_key=(1, si, t)) for si in range(len(snrs))]
             for t in trials]
@@ -299,14 +297,10 @@ def _chunk_records(cfg: ExperimentConfig, first: int) -> list:
     rngs = [np.random.default_rng(seq) for row in seqs for seq in row]  # in (trial, SNR) order
     probes = tuple(ProbeBlock(*(a.reshape(shape + a.shape[1:]) for a in draw_probes(rngs, p, n_tx, n_rx)))
                    for p, n_tx, n_rx in ((cfg.protocol.p_bs, n_bs, n_ms), (cfg.protocol.p_ms, m, n_bs)))
-    noise = dpsk_noise(rngs, cfg.metrics.n_data_symbols).reshape(shape + (2, -1)) if m == 1 else None
 
-    records = [[] for _ in trials]
+    scored = []
     for name, protocol in zip(cfg.variants, cfg.variant_protocols):
-        def where(t, snr_db, seed_used):
-            return f"trial {t}, variant {name}, snr_db {snr_db}, seed_used {seed_used}"
-
-        try:
+        with _named(name, trials, snrs, seeds):
             beams = oracle  # one pair of beams per trial, scored at every power of the stack
             if protocol is not None:
                 pcfg = replace(protocol, tx_power_scale=tuple(p_ts))
@@ -316,22 +310,41 @@ def _chunk_records(cfg: ExperimentConfig, first: int) -> list:
             eta_u = np.broadcast_to(normalized_correlation(chunk.u[..., 0], beams.d_ms[..., 0]), shape)
             eta_v = np.broadcast_to(normalized_correlation(chunk.v[..., 0], beams.d_bs[..., 0]), shape)
             _check_metrics(eta_u, eta_v, se, np.array(bounds))
-            sers = [[None] * len(snrs)] * len(trials)
-            if m == 1:  # scored one trial at a time: its DPSK arrays are n_snr x n_data_symbols
-                sers = [dpsk_ser_trial(chan, EstimatedBeamformers(beams.d_ms[b], beams.d_bs[b]), mcfg,
-                                       NOISE_VARIANCE, noise[b]).tolist()
-                        for b, (chan, mcfg) in enumerate(zip(chans, mcfgs))]
-        except _StreamFault as exc:  # a check names the stream it failed on
-            fault, i = exc.args
-            b, si = np.unravel_index(i, shape)
-            raise RuntimeError(f"{where(trials[b], snrs[si], seeds[b][si])}: {fault}") from exc
-        except Exception as exc:  # a stacked call's failure is not one stream's: it names them all
-            stack = "; ".join(where(t, snrs, seeds_t) for t, seeds_t in zip(trials, seeds))
-            raise RuntimeError(f"{stack}: {exc}") from exc
+        scored.append((name, beams, eta_u, eta_v, se))
+
+    # DPSK one trial at a time, after every variant's probing: each generator's last draw is
+    # its noise, and a trial's noise and DPSK arrays (n_snr x n_data_symbols) are all that is held
+    sers = {name: [[None] * len(snrs) for _ in trials] for name, *_ in scored}
+    for b, (t, chan, mcfg) in enumerate(zip(trials, chans, mcfgs) if m == 1 else ()):
+        noise = dpsk_noise(rngs[b * len(snrs):(b + 1) * len(snrs)], cfg.metrics.n_data_symbols)
+        for name, beams, *_ in scored:
+            with _named(name, (t,), snrs, seeds[b:b + 1]):
+                trial_beams = EstimatedBeamformers(beams.d_ms[b], beams.d_bs[b])
+                sers[name][b] = dpsk_ser_trial(chan, trial_beams, mcfg, NOISE_VARIANCE, noise).tolist()
+
+    records = [[] for _ in trials]
+    for name, _, eta_u, eta_v, se in scored:
         for b, t in enumerate(trials):
-            rows = zip(snrs, eta_u[b].tolist(), eta_v[b].tolist(), se[b].tolist(), sers[b], seeds[b])
+            rows = zip(snrs, eta_u[b].tolist(), eta_v[b].tolist(), se[b].tolist(), sers[name][b], seeds[b])
             records[b] += [TrialRecord(t, name, *row) for row in rows]
     return records
+
+
+@contextlib.contextmanager
+def _named(variant: str, trials, snrs, seeds):
+    """Re-raise an error as a RuntimeError naming a _StreamFault's stream, else the whole stack."""
+    def where(t, snr_db, seed_used):
+        return f"trial {t}, variant {variant}, snr_db {snr_db}, seed_used {seed_used}"
+
+    try:
+        yield
+    except _StreamFault as exc:  # a check names the stream it failed on
+        fault, i = exc.args
+        b, si = divmod(i, len(snrs))
+        raise RuntimeError(f"{where(trials[b], snrs[si], seeds[b][si])}: {fault}") from exc
+    except Exception as exc:  # a stacked call's failure is not one stream's: it names them all
+        stack = "; ".join(where(t, snrs, seeds_t) for t, seeds_t in zip(trials, seeds))
+        raise RuntimeError(f"{stack}: {exc}") from exc
 
 
 @functools.cache
@@ -358,14 +371,12 @@ def _pool_width(workers: int, n_trials: int) -> int:
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list:
     """All trial records for a config, ordered by (variant, SNR, trial).
 
-    The trials run in chunks of CHUNK_TRIALS consecutive trials, serially or as
-    pool tasks on at most one worker per chunk; neither the chunk size nor the
-    worker count changes a record's bytes.
-
-    It first sets numpy's bundled OpenBLAS to one thread, leaving any other BLAS
-    alone: a trial's small products gain little from a second thread, which spins
-    between calls, and forked pool workers inherit the count. The caller's process
-    stays on one BLAS thread. Record bytes do not depend on it.
+    Trials run in chunks of CHUNK_TRIALS, at most one worker per chunk; neither
+    the chunk size nor the worker count changes a record's bytes. It first sets
+    numpy's bundled OpenBLAS to one thread, leaving any other BLAS alone: a
+    trial's small products gain little from a second thread, which spins between
+    calls, and forked pool workers inherit the count. The caller's process stays
+    on one BLAS thread. Record bytes do not depend on it.
     """
     lib = _openblas()
     if lib is not None:

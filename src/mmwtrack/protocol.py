@@ -121,16 +121,17 @@ class ProbeBlock(NamedTuple):
 
 
 def draw_probes(rngs, n_probes: int, n_tx: int, n_rx: int) -> ProbeBlock:
-    """Each generator's block for one phase: the +-1 signs, then the real and imaginary noise."""
-    signs = np.empty((len(rngs), n_probes, n_tx))
+    """Each generator's block for one phase: the +-1 signs, then the real and imaginary noise.
+    The signs are int8, as a chunk of trials holds its blocks through every variant."""
+    signs = np.empty((len(rngs), n_probes, n_tx), dtype=np.int8)
     re = np.empty((len(rngs), n_probes, n_rx))
     im = np.empty_like(re)
     for i, gen in enumerate(rngs):  # drawn in place: stacking drawn blocks costs as much again
         signs[i] = gen.integers(0, 2, size=(n_probes, n_tx))
         gen.standard_normal(out=re[i])
         gen.standard_normal(out=im[i])
-    signs *= 2.0
-    signs -= 1.0
+    signs *= 2
+    signs -= 1
     return ProbeBlock(signs, re, im)
 
 
