@@ -259,8 +259,8 @@ def _transmit_powers(snr_grid_db, n_ms: int, h2: float) -> tuple:
 
 # Trials per chunk, B: each variant's B x n_snr streams run as one stack, so the per-call cost
 # of Python and numpy, which dominates a 7-stream stack, is paid once per B trials. B = 3 ran
-# `paper` 1.3-1.4x as fast as one trial per stack within 6% of its peak RSS (BENCH_chunks.json);
-# chunk memory grows with B. B is fixed: chunks follow the trial index, never --threads.
+# `paper` 1.4x as fast as one trial per stack, peak RSS 4-6% higher (BENCH_chunks.json), and a
+# chunk's memory grows with B. B is fixed: chunks follow the trial index, never --threads.
 CHUNK_TRIALS = 3
 
 
