@@ -255,6 +255,19 @@ class TestStackedStreams:
         assert not np.allclose(stacked.w[0], w0[0], atol=1e-3)  # the other streams moved
 
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_ooja_stack_step_is_the_one_stream_step_bit_for_bit(self, m):
+        # a stack takes OOJA's coefficients as numpy arrays and one stream as Python floats,
+        # in the same order of operations; the stack here has two leading axes
+        stack = self.streams().reshape(2, 2, 30, 12)
+        w0, _ = init_from_samples(stack[..., :10, :], m)
+        stacked = tracker_run(OojaTracker(w=w0, delta=0.3), np.moveaxis(stack[..., 10:, :], -2, 0))
+        for k in np.ndindex(2, 2):
+            one = tracker_run(OojaTracker(w=w0[k], delta=0.3), stack[k][10:])
+            np.testing.assert_array_equal(stacked.w[k], one.w)
+        assert not np.allclose(stacked.w[0, 0], w0[0, 0], atol=1e-3)
+
+
 def _time_steps(tracker, samples) -> float:
     best = math.inf
     for _ in range(5):
