@@ -298,13 +298,18 @@ def _chunk_records(cfg: ExperimentConfig, first: int) -> list:
     probes = tuple(ProbeBlock(*(a.reshape(shape + a.shape[1:]) for a in draw_probes(rngs, p, n_tx, n_rx)))
                    for p, n_tx, n_rx in ((cfg.protocol.p_bs, n_bs, n_ms), (cfg.protocol.p_ms, m, n_bs)))
 
+    # every tracker variant in one call, which forms phase (a) once for all of them
+    tracked = {name: replace(protocol, tx_power_scale=tuple(p_ts))
+               for name, protocol in zip(cfg.variants, cfg.variant_protocols) if protocol is not None}
+    beams_of = {}
+    if tracked:
+        with _named(tuple(tracked), trials, snrs, seeds):
+            beams = run_protocol(chunk, tuple(tracked.values()), cfg.front_end, NOISE_VARIANCE, probes)
+            beams_of = dict(zip(tracked, beams))
     scored = []
-    for name, protocol in zip(cfg.variants, cfg.variant_protocols):
-        with _named(name, trials, snrs, seeds):
-            beams = oracle  # one pair of beams per trial, scored at every power of the stack
-            if protocol is not None:
-                pcfg = replace(protocol, tx_power_scale=tuple(p_ts))
-                beams = run_protocol(chunk, pcfg, cfg.front_end, NOISE_VARIANCE, probes)
+    for name in cfg.variants:
+        with _named((name,), trials, snrs, seeds):
+            beams = beams_of.get(name, oracle)  # the oracle's: one pair per trial, at every power
             _check_beams(beams, shape)  # before scoring: a zero-norm column fails it for all
             se = spectral_efficiency(chunk.h, beams.d_ms, beams.d_bs, np.array(p_ts), NOISE_VARIANCE)
             eta_u = np.broadcast_to(normalized_correlation(chunk.u[..., 0], beams.d_ms[..., 0]), shape)
@@ -318,7 +323,7 @@ def _chunk_records(cfg: ExperimentConfig, first: int) -> list:
     for b, (t, chan, mcfg) in enumerate(zip(trials, chans, mcfgs) if m == 1 else ()):
         noise = dpsk_noise(rngs[b * len(snrs):(b + 1) * len(snrs)], cfg.metrics.n_data_symbols)
         for name, beams, *_ in scored:
-            with _named(name, (t,), snrs, seeds[b:b + 1]):
+            with _named((name,), (t,), snrs, seeds[b:b + 1]):
                 trial_beams = EstimatedBeamformers(beams.d_ms[b], beams.d_bs[b])
                 sers[name][b] = dpsk_ser_trial(chan, trial_beams, mcfg, NOISE_VARIANCE, noise).tolist()
 
@@ -331,19 +336,19 @@ def _chunk_records(cfg: ExperimentConfig, first: int) -> list:
 
 
 @contextlib.contextmanager
-def _named(variant: str, trials, snrs, seeds):
-    """Re-raise an error as a RuntimeError naming a _StreamFault's stream, else the whole stack."""
-    def where(t, snr_db, seed_used):
+def _named(variants: tuple, trials, snrs, seeds):
+    """Re-raise an error as a RuntimeError naming a _StreamFault's stream, else every stream of the call."""
+    def where(variant, t, snr_db, seed_used):
         return f"trial {t}, variant {variant}, snr_db {snr_db}, seed_used {seed_used}"
 
     try:
         yield
-    except _StreamFault as exc:  # a check names the stream it failed on
+    except _StreamFault as exc:  # a check, which scores one variant, names the stream it failed on
         fault, i = exc.args
         b, si = divmod(i, len(snrs))
-        raise RuntimeError(f"{where(trials[b], snrs[si], seeds[b][si])}: {fault}") from exc
+        raise RuntimeError(f"{where(variants[0], trials[b], snrs[si], seeds[b][si])}: {fault}") from exc
     except Exception as exc:  # a stacked call's failure is not one stream's: it names them all
-        stack = "; ".join(where(t, snrs, seeds_t) for t, seeds_t in zip(trials, seeds))
+        stack = "; ".join(where(v, t, snrs, seeds_t) for v in variants for t, seeds_t in zip(trials, seeds))
         raise RuntimeError(f"{stack}: {exc}") from exc
 
 
@@ -397,13 +402,20 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list:
 _QUANTILES = (0.10, 0.25, 0.75, 0.90)
 
 
-def _stats_cells(values) -> list:
-    values = [v for v in values if v is not None]
-    if not values:
-        return [""] * (2 + len(_QUANTILES))
-    arr = np.asarray(values, dtype=float)
-    stats = [arr.mean(), np.median(arr), *np.quantile(arr, _QUANTILES)]
-    return [_fmt_value(float(x)) for x in stats]
+def _stats_cells(series) -> list:
+    """Each value list's mean, median and _QUANTILES as cells, empty for an empty list. The lists
+    of one length are the rows of one array, reduced along each row as a lone list is."""
+    cells = [[""] * (2 + len(_QUANTILES))] * len(series)
+    by_size = {}
+    for i, values in enumerate(series):
+        if values:
+            by_size.setdefault(len(values), []).append(i)
+    for rows in by_size.values():
+        arr = np.array([series[i] for i in rows], dtype=float)
+        stats = np.vstack([arr.mean(axis=-1), np.median(arr, axis=-1), np.quantile(arr, _QUANTILES, axis=-1)])
+        for i, column in zip(rows, stats.T.tolist()):
+            cells[i] = [_fmt_value(x) for x in column]
+    return cells
 
 
 def emit_csv(records, destination) -> None:
@@ -428,12 +440,11 @@ def emit_csv(records, destination) -> None:
     stat_names = ("mean", "median") + tuple(f"q{int(q * 100)}" for q in _QUANTILES)
     header = ["variant", "snr_db", "n"]
     header += [f"{m}_{s}" for m in metric_names for s in stat_names]
+    series = [[x for g in group if (x := getattr(g, name)) is not None]
+              for group in groups.values() for name in ("eta_u", "eta_v", "spectral_eff_bits", "ser")]
+    cells = iter(_stats_cells(series))
     with open(os.path.join(destination, "aggregates.csv"), "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for (variant, snr_db), group in groups.items():
-            cells = [variant, _fmt_value(snr_db), str(len(group))]
-            cells += _stats_cells([g.eta_u for g in group])
-            cells += _stats_cells([g.eta_v for g in group])
-            cells += _stats_cells([g.spectral_eff_bits for g in group])
-            cells += _stats_cells([g.ser for g in group])
-            fh.write(",".join(cells) + "\n")
+            row = [variant, _fmt_value(snr_db), str(len(group))] + [c for _ in metric_names for c in next(cells)]
+            fh.write(",".join(row) + "\n")

@@ -11,7 +11,7 @@ trackers operate entirely in the reduced RF-chain dimension.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -135,16 +135,11 @@ def draw_probes(rngs, n_probes: int, n_tx: int, n_rx: int) -> ProbeBlock:
     return ProbeBlock(signs, re, im)
 
 
-def _phase(link, d_rf, n_probes, cfg: ProtocolConfig, sigma2_n, block) -> np.ndarray:
-    """Probe link (n_rx x n_tx) and track the received rows.
-
-    Forms R = sqrt(rho) S link^T + sqrt(sigma2/2) N from the block's signs S and
-    noise N, combines it as R conj(d_rf) unless d_rf is None, warm-starts on
-    cfg.warmup rows and tracks the rest. block is a drawn ProbeBlock of a stack of
-    streams, which is only read, each stream with its own cfg.tx_power_scale and
-    a link of its own or broadcast over the stack's axes; or one Generator, which
-    draws one stream's block now.
-    """
+def _received(link, n_probes, cfg: ProtocolConfig, sigma2_n, block) -> np.ndarray:
+    """The rows R = sqrt(rho) S link^T + sqrt(sigma2/2) N from probing link (n_rx x n_tx) with block's
+    signs S and noise N. block is a drawn ProbeBlock of a stack of streams, only read, each stream with
+    its own cfg.tx_power_scale and a link of its own or broadcast; or one Generator, which draws one
+    stream's block now."""
     if isinstance(block, np.random.Generator):
         if link.ndim > 2 or np.ndim(cfg.tx_power_scale) > 0:
             raise ValueError("one Generator probes one stream: draw a stack's blocks with draw_probes")
@@ -159,8 +154,17 @@ def _phase(link, d_rf, n_probes, cfg: ProtocolConfig, sigma2_n, block) -> np.nda
     parts *= np.sqrt(np.asarray(cfg.tx_power_scale, dtype=float))[..., None, None]
     parts[..., 0::2] += math.sqrt(sigma2_n / 2.0) * block.re
     parts[..., 1::2] += math.sqrt(sigma2_n / 2.0) * block.im
-    r = parts.view(complex) if d_rf is None else parts.view(complex) @ d_rf.conj()
-    w0, lam0 = init_from_samples(r[..., : cfg.warmup, :], cfg.m)
+    return parts.view(complex)
+
+
+def _warm_start(r, d_rf, cfg: ProtocolConfig) -> tuple:
+    """(rows, w0, lam0): r combined as r conj(d_rf) (r if d_rf is None) and its warm start."""
+    r = r if d_rf is None else r @ d_rf.conj()
+    return (r, *init_from_samples(r[..., : cfg.warmup, :], cfg.m))
+
+
+def _track(r, w0, lam0, cfg: ProtocolConfig) -> np.ndarray:
+    """Track the rows of r after cfg.warmup from (w0, lam0), which the trackers copy."""
     spec = cfg.tracker
     if spec.kind == TRACKER_PASTD:
         tracker = PastdTracker(w=w0, lam=lam0, beta=spec.beta)
@@ -179,32 +183,27 @@ def _combiners(cfg: ProtocolConfig, front: HybridFrontEnd | None):
     return front.d_ms_rf, front.d_bs_rf
 
 
-def run_phase_a(
-    chan: ChannelRealization,
-    cfg: ProtocolConfig,
-    front: HybridFrontEnd | None,
-    sigma2_n: float,
-    rng,
-) -> np.ndarray:
+def run_phase_a(chan: ChannelRealization, cfg, front: HybridFrontEnd | None, sigma2_n: float, rng):
     """Downlink probing; returns the tracked left-subspace basis.
 
     rng is one Generator (one stream) or a drawn ProbeBlock of a stack of
     streams, whose basis gains the stack's leading axes; chan.h may then carry
     leading axes that broadcast against them. Full antenna dimension in FD
-    mode, RF-chain dimension in hybrid mode.
+    mode, RF-chain dimension in hybrid mode. A tuple of configs that differ only
+    in mode and tracker gives a tuple of bases, the rows warm-started once per mode.
     """
-    d_ms_rf, _ = _combiners(cfg, front)
-    return _phase(chan.h, d_ms_rf, cfg.p_bs, cfg, sigma2_n, rng)
+    cfgs = cfg if isinstance(cfg, tuple) else (cfg,)
+    if any(replace(c, mode=cfgs[0].mode, tracker=cfgs[0].tracker) != cfgs[0] for c in cfgs[1:]):
+        raise ValueError("configs probed together may differ only in mode and tracker")
+    r = _received(chan.h, cfgs[0].p_bs, cfgs[0], sigma2_n, rng)
+    modes = {c.mode: c for c in cfgs}  # a warm start reads nothing else in which they differ
+    starts = {mode: _warm_start(r, _combiners(c, front)[0], c) for mode, c in modes.items()}
+    bases = tuple(_track(*starts[c.mode], c) for c in cfgs)
+    return bases if isinstance(cfg, tuple) else bases[0]
 
 
-def run_phase_b(
-    chan: ChannelRealization,
-    d_ms: np.ndarray,
-    cfg: ProtocolConfig,
-    front: HybridFrontEnd | None,
-    sigma2_n: float,
-    rng,
-) -> np.ndarray:
+def run_phase_b(chan: ChannelRealization, d_ms: np.ndarray, cfg: ProtocolConfig,
+                front: HybridFrontEnd | None, sigma2_n: float, rng) -> np.ndarray:
     """Uplink probing through the estimated precoder d_ms; returns the tracked right basis.
 
     rng and chan.h as in run_phase_a; with a ProbeBlock, d_ms may be a (..., n_ms, m) stack.
@@ -212,27 +211,28 @@ def run_phase_b(
     n_ms, n_bs = chan.h.shape[-2:]
     if d_ms.shape[-2:] != (n_ms, cfg.m):
         raise ValueError(f"d_ms has shape {d_ms.shape}, expected ({n_ms}, {cfg.m})")
-    _, d_bs_rf = _combiners(cfg, front)
-    return _phase(chan.h.conj().mT @ d_ms, d_bs_rf, cfg.p_ms, cfg, sigma2_n, rng)
+    r = _received(chan.h.conj().mT @ d_ms, cfg.p_ms, cfg, sigma2_n, rng)
+    return _track(*_warm_start(r, _combiners(cfg, front)[1], cfg), cfg)
 
 
-def run_protocol(
-    chan: ChannelRealization,
-    cfg: ProtocolConfig,
-    front: HybridFrontEnd | None,
-    sigma2_n: float,
-    rng,
-) -> EstimatedBeamformers:
+def run_protocol(chan: ChannelRealization, cfg, front: HybridFrontEnd | None, sigma2_n: float, rng):
     """Run both phases and return unit-column beamformers; hybrid mode needs a front end.
 
     rng is one Generator, which draws phase (a)'s block and then phase (b)'s
     for one stream, or a pair of drawn ProbeBlocks (phase a, phase b) of a
     stack of streams with one cfg.tx_power_scale value per stream: the streams
     run stacked and every beamformer gains the stack's leading axes. chan.h
-    may carry leading axes too, which broadcast against the stack's.
+    may carry leading axes too, which broadcast against the stack's. A tuple of
+    configs, as in run_phase_a, shares phase (a) and gives a tuple of beamformers.
     """
+    cfgs = cfg if isinstance(cfg, tuple) else (cfg,)
+    if isinstance(rng, np.random.Generator) and len(cfgs) > 1:
+        raise ValueError("configs probed together share drawn ProbeBlocks, not one Generator")
     rng_a, rng_b = (rng, rng) if isinstance(rng, np.random.Generator) else rng
-    d_ms_rf, d_bs_rf = _combiners(cfg, front)
-    d_ms = _lift_and_normalize(d_ms_rf, run_phase_a(chan, cfg, front, sigma2_n, rng_a))
-    d_bs = _lift_and_normalize(d_bs_rf, run_phase_b(chan, d_ms, cfg, front, sigma2_n, rng_b))
-    return EstimatedBeamformers(d_ms=d_ms, d_bs=d_bs)
+    beams = []
+    for c, basis in zip(cfgs, run_phase_a(chan, cfgs, front, sigma2_n, rng_a)):
+        d_ms_rf, d_bs_rf = _combiners(c, front)
+        d_ms = _lift_and_normalize(d_ms_rf, basis)
+        d_bs = _lift_and_normalize(d_bs_rf, run_phase_b(chan, d_ms, c, front, sigma2_n, rng_b))
+        beams.append(EstimatedBeamformers(d_ms=d_ms, d_bs=d_bs))
+    return tuple(beams) if isinstance(cfg, tuple) else beams[0]

@@ -3,7 +3,7 @@
 Two trackers are provided: a deflation-based RLS tracker that extracts
 eigenvectors sequentially with a forgetting factor, and an Oja-style
 stochastic update with an exact closed-form orthonormalization. Both can be
-warm-started from a short batch via a thin SVD of the batch's sample block.
+warm-started from a short batch via the eigenpairs of its K x K Gram matrix.
 """
 
 from __future__ import annotations
@@ -20,28 +20,40 @@ PROJ_NORM_FLOOR = 1e-24
 
 
 def init_from_samples(samples, m: int):
-    """Warm-start basis from a thin SVD of a short batch.
+    """Warm-start basis from the K x K Gram matrix of a short batch (the method of snapshots).
 
-    samples is a (K, n) block, or an (S, K, n) stack of S blocks taken by one
-    batched SVD. Per block, returns (w, lam): the m dominant left singular
-    vectors of the n x K block R = [r_1 ... r_K], which are the eigenvectors
-    of (1/K) R R^H, and their eigenvalues s^2 / K clamped below at a small
-    floor. When m > K, the columns beyond the K samples complete the basis
-    orthonormally, with lam at the floor. A degenerate (all-zero) block falls
-    back to the canonical basis.
+    samples is a (K, n) block or a stack (..., K, n). Per block, returns (w, lam): the m dominant
+    eigenvectors of (1/K) R R^H for the n x K block R = [r_1 ... r_K], as u = Rv / |Rv| from the
+    eigenpairs (s^2, v) of R^H R, and lam = s^2 / K clamped below at a small floor. Where Rv is
+    rounding noise, with the smallest kept s^2 at most sqrt(eps) s_1^2, and where m > K, the block
+    takes the thin SVD of R, whose columns beyond K complete the basis with lam at the floor. An
+    all-zero block falls back to the canonical basis.
     """
     r = np.asarray(samples, dtype=complex)
     if r.ndim < 2 or r.shape[-2] < 1:
         raise ValueError("need at least one sample")
-    k, n = r.shape[-2:]
+    *lead, k, n = r.shape
     if not 1 <= m <= n:
         raise ValueError(f"m must be in [1, {n}], got {m}")
-    u, s, _ = np.linalg.svd(np.swapaxes(r, -1, -2), full_matrices=m > k)
-    lam = np.full(s.shape[:-1] + (m,), EIGVAL_FLOOR)
-    lam[..., : min(m, k)] = np.maximum(s[..., :m] ** 2 / k, EIGVAL_FLOOR)
-    w = _fix_phases(u[..., :m])
-    w[lam[..., 0] <= EIGVAL_FLOOR] = np.eye(n, dtype=complex)[:, :m]
-    return w, lam
+    r = r.reshape(-1, k, n)
+    rt = np.swapaxes(r, -1, -2)  # R per block
+    u, s2 = np.empty((len(r), n, m), dtype=complex), np.zeros((len(r), m))
+    by_svd = np.full(len(r), m > k)
+    if m <= k:
+        g = np.conj(r) @ rt  # R^H R
+        g[~np.all(np.isfinite(g), axis=(-2, -1))] = 0.0  # overflowed, as s^2 would: the SVD serves it
+        evals, v = np.linalg.eigh(g)  # ascending
+        s2[...], v = evals[:, : -m - 1 : -1], v[..., : -m - 1 : -1]
+        by_svd = ~(s2[:, -1] > math.sqrt(np.finfo(float).eps) * s2[:, 0])  # NaN too
+        rv = rt[~by_svd] @ v[~by_svd]
+        u[~by_svd] = rv / np.linalg.norm(rv, axis=-2, keepdims=True)
+    if np.any(by_svd):
+        u_svd, s, _ = np.linalg.svd(rt[by_svd], full_matrices=m > k)
+        u[by_svd], s2[by_svd, : min(m, k)] = u_svd[..., :m], s[:, :m] ** 2
+    lam = np.maximum(s2 / k, EIGVAL_FLOOR)
+    w = _fix_phases(u)
+    w[lam[:, 0] <= EIGVAL_FLOOR] = np.eye(n, dtype=complex)[:, :m]
+    return w.reshape(*lead, n, m), lam.reshape(*lead, m)
 
 
 @dataclass

@@ -1,13 +1,14 @@
 import math
 import os
 import platform
+import random
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mmwtrack import harness
+from mmwtrack import harness, protocol
 from mmwtrack import (
     ConfigError,
     ExperimentConfig,
@@ -18,7 +19,6 @@ from mmwtrack import (
     run_experiment,
 )
 from mmwtrack.cli import main as cli_main
-from util import capture_streams
 
 SMALL = """
 n_bs = 16
@@ -210,9 +210,9 @@ class TestRunExperiment:
     def test_bad_beam_names_its_own_stream(self, monkeypatch, n_trials, entries, value, fault):
         real = harness.run_protocol
 
-        def bad_second_stream(chan, cfg, front, sigma2, rngs):
-            beams = real(chan, cfg, front, sigma2, rngs)
-            beams.d_ms[entries] = value
+        def bad_second_stream(chan, cfgs, front, sigma2, rngs):
+            beams = real(chan, cfgs, front, sigma2, rngs)  # one per tracker variant, in config order
+            beams[0].d_ms[entries] = value  # pastd-fd's
             return beams
 
         monkeypatch.setattr(harness, "run_protocol", bad_second_stream)
@@ -442,20 +442,53 @@ class TestSharedDraws:
     """Every variant of a trial probes with the same draws (common random numbers)."""
 
     def test_variants_see_the_same_phase_a_stream(self, monkeypatch):
+        # the four tracker variants of a chunk share phase (a): its rows are formed once and
+        # warm-started once per mode, then each variant runs its own phase (b)
         text = ONE_TRIAL.replace("variants = pastd-fd,ooja-hy,oracle",
-                                 "variants = pastd-fd,ooja-fd,pastd-hy,oracle")
+                                 "variants = pastd-fd,ooja-fd,pastd-hy,ooja-hy,oracle")
         cfg = load_config(text)
-        streams = capture_streams(monkeypatch)
+        warm_rows, runs = [], []
+        init, run = protocol.init_from_samples, protocol.tracker_run
+
+        def init_spy(samples, m):
+            warm_rows.append(np.array(samples))
+            return init(samples, m)
+
+        def run_spy(tracker, stream):  # the tracker's start and its rows, (..., T, n)
+            runs.append((tracker.w.copy(), np.moveaxis(stream, 0, -2)))
+            return run(tracker, stream)
+
+        monkeypatch.setattr(protocol, "init_from_samples", init_spy)
+        monkeypatch.setattr(protocol, "tracker_run", run_spy)
         records = run_experiment(cfg)
-        # phase (a), then phase (b), per tracker variant in config order
-        pastd_fd, ooja_fd, pastd_hy = streams[0], streams[2], streams[4]
-        assert len(streams) == 6 and pastd_fd.shape == (1, 2, 30, 8)  # (trial, SNR, probe, n_ms)
-        assert pastd_fd.tobytes() == ooja_fd.tobytes()
-        np.testing.assert_allclose(pastd_hy, pastd_fd @ cfg.front_end.d_ms_rf.conj(), rtol=1e-12)
+        assert len(warm_rows) == 6 and len(runs) == 8  # 2 + 4 warm starts, where one per phase made 8
+        # phase (a) first, in config order: pastd-fd, ooja-fd, pastd-hy, ooja-hy
+        (pastd_fd, fd_tail), (ooja_fd, ooja_tail), (pastd_hy, hy_tail), (ooja_hy, _) = runs[:4]
+        assert pastd_fd.tobytes() == ooja_fd.tobytes() and fd_tail.tobytes() == ooja_tail.tobytes()
+        assert pastd_hy.tobytes() == ooja_hy.tobytes()
+        fd_rows = np.concatenate([warm_rows[0], fd_tail], axis=-2)
+        hy_rows = np.concatenate([warm_rows[1], hy_tail], axis=-2)
+        assert fd_rows.shape == (1, 2, 30, 8)  # (trial, SNR, probe, n_ms)
+        np.testing.assert_array_equal(hy_rows, fd_rows @ cfg.front_end.d_ms_rf.conj())
         seeds = {}
         for r in records:
             seeds.setdefault(r.snr_db, set()).add(r.seed_used)
         assert all(len(used) == 1 for used in seeds.values()) and len(seeds) == 2
+
+    def test_shared_call_error_names_every_variant_and_trial(self, monkeypatch):
+        def broken(samples, m):
+            raise np.linalg.LinAlgError("injected failure")
+
+        monkeypatch.setattr(protocol, "init_from_samples", broken)
+        with pytest.raises(RuntimeError) as info:
+            run_experiment(load_config(SMALL))  # 3 trials: one chunk, one call for both trackers
+        message = str(info.value)
+        for trial in range(3):
+            seqs = [np.random.SeedSequence(7, spawn_key=(1, si, trial)) for si in range(2)]
+            seeds_used = [int(seq.generate_state(1)[0]) for seq in seqs]
+            for variant in ("pastd-fd", "ooja-hy"):
+                assert f"trial {trial}, variant {variant}, snr_db (0.0, 10.0), seed_used {seeds_used}" in message
+        assert "oracle" not in message and message.endswith(": injected failure")
 
     def test_oracle_rows_do_not_depend_on_the_variant_list(self):
         def oracle_rows(variants):
@@ -469,7 +502,46 @@ class TestSharedDraws:
         assert oracle_rows("oracle,pastd-fd") == alone
 
 
+def reference_aggregates(records) -> str:
+    """aggregates.csv as emit_csv wrote it with one set of numpy calls per (variant, SNR) group and metric."""
+    quantiles = (0.10, 0.25, 0.75, 0.90)
+
+    def stats_cells(values):
+        values = [v for v in values if v is not None]
+        if not values:
+            return [""] * (2 + len(quantiles))
+        arr = np.asarray(values, dtype=float)
+        stats = [arr.mean(), np.median(arr), *np.quantile(arr, quantiles)]
+        return [format(float(x), ".17g") for x in stats]
+
+    groups = {}
+    for r in records:
+        groups.setdefault((r.variant, r.snr_db), []).append(r)
+    metrics = ("eta_u", "eta_v", "se_bits", "ser")
+    header = ["variant", "snr_db", "n"] + [f"{m}_{s}" for m in metrics
+                                           for s in ("mean", "median", "q10", "q25", "q75", "q90")]
+    lines = [",".join(header)]
+    for (variant, snr_db), group in groups.items():
+        cells = [variant, format(snr_db, ".17g"), str(len(group))]
+        for name in ("eta_u", "eta_v", "spectral_eff_bits", "ser"):
+            cells += stats_cells([getattr(g, name) for g in group])
+        lines.append(",".join(cells))
+    return "".join(line + "\n" for line in lines)
+
+
 class TestEmitCsv:
+    def test_aggregates_equal_the_per_group_loop_byte_for_byte(self, tmp_path):
+        full = run_experiment(load_config(SMALL.replace("n_trials = 3", "n_trials = 300")))
+        third = random.Random(5).sample(full, len(full) // 3)  # shuffled, groups of several sizes
+        mimo = run_experiment(load_config(SMALL + "multiplexing_order = 2\n"))  # no ser
+        sizes = {}
+        for r in third:
+            sizes[(r.variant, r.snr_db)] = sizes.get((r.variant, r.snr_db), 0) + 1
+        assert len(set(sizes.values())) > 1 and all(r.ser is None for r in mimo)
+        for k, records in enumerate((full, third, full[:1], mimo)):
+            emit_csv(records, tmp_path / str(k))
+            assert (tmp_path / str(k) / "aggregates.csv").read_bytes() == reference_aggregates(records).encode()
+
     def test_single_record_two_files(self, tmp_path):
         cfg = load_config("n_trials = 1\nsnr_grid_db = 5\nvariants = oracle\nn_bs = 16\nn_ms = 8\nn_rf_bs = 8\nn_rf_ms = 4\n")
         emit_csv(run_experiment(cfg), tmp_path)

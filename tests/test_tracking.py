@@ -72,6 +72,28 @@ class TestInitFromSamples:
         np.testing.assert_allclose(lam[:2], evals[::-1][:2], rtol=1e-10)
         assert np.all(lam[2:] == EIGVAL_FLOOR)
 
+    def test_rank_deficient_blocks_keep_an_orthonormal_basis(self):
+        # where a kept eigenvalue of R^H R is zero, Rv is rounding noise: such a block
+        # needs the SVD, alone or stacked with a full-rank block, to stay orthonormal
+        rng = np.random.default_rng(21)
+
+        def cn(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        rank1 = np.outer(cn(10), cn(30))
+        one_sample = np.zeros((10, 30), dtype=complex)
+        one_sample[3] = cn(30)  # R has one nonzero column
+        full = cn(10, 30)
+        w_mix, lam_mix = init_from_samples(np.stack([rank1, one_sample, full]), 2)
+        cases = [(rank1, init_from_samples(rank1, 2)), (one_sample, init_from_samples(one_sample, 2)),
+                 (rank1, (w_mix[0], lam_mix[0])), (one_sample, (w_mix[1], lam_mix[1]))]
+        for block, (w, lam) in cases:
+            np.testing.assert_allclose(w.conj().T @ w, np.eye(2), atol=1e-12)
+            assert lam[1] == EIGVAL_FLOOR
+            assert lam[0] == pytest.approx(np.linalg.norm(block) ** 2 / 10, rel=1e-12)
+        np.testing.assert_allclose(w_mix[2].conj().T @ w_mix[2], np.eye(2), atol=1e-12)
+        assert lam_mix[2][1] > EIGVAL_FLOOR
+
     def test_errors(self):
         with pytest.raises(ValueError):
             init_from_samples([], 1)
