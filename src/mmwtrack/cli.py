@@ -16,7 +16,8 @@ import time
 import numpy as np
 
 from . import harness
-from .harness import ConfigError, _pool_width, config_digest, emit_csv, load_config, resolved_text, run_experiment
+from .harness import ConfigError, _pool_width, config_digest, emit_csv, load_config, resolved_text
+from .harness import run_experiment
 
 
 THREAD_VARS = (

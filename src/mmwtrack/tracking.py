@@ -40,9 +40,7 @@ def init_from_samples(samples, m: int):
     u, s2 = np.empty((len(r), n, m), dtype=complex), np.zeros((len(r), m))
     by_svd = np.full(len(r), m > k)
     if m <= k:
-        g = np.conj(r) @ rt  # R^H R
-        g[~np.all(np.isfinite(g), axis=(-2, -1))] = 0.0  # overflowed, as s^2 would: the SVD serves it
-        evals, v = np.linalg.eigh(g)  # ascending
+        evals, v = np.linalg.eigh(np.conj(r) @ rt)  # of R^H R, ascending
         s2[...], v = evals[:, : -m - 1 : -1], v[..., : -m - 1 : -1]
         by_svd = ~(s2[:, -1] > math.sqrt(np.finfo(float).eps) * s2[:, 0])  # NaN too
         rv = rt[~by_svd] @ v[~by_svd]
