@@ -51,6 +51,7 @@ def test_summary_gives_medians_quartiles_and_pairs_won(bench_pairs):
     for pair, (p, c) in enumerate(zip(parent, change), start=1):
         runs += [run(bench_pairs, "parent", pair, p, 1.0 / p), run(bench_pairs, "change", pair, c, 1.0 / c)]
     runs.append(run(bench_pairs, "change", None, 1.0, 1.0, trace=1))  # traced runs stay out
+    runs.append({"side": "change", "workload": "paper", "pair": 5, "trace": 0, "returncode": 1})  # no result
     summary = bench_pairs.summarize(runs, {"trials_per_s": "higher", "cpu_s_per_trial": "lower"})
     tps = summary["paper"]["trials_per_s"]
     assert tps["pairs"] == 4 and tps["parent_median"] == 102.5 and tps["change_median"] == 122.5

@@ -56,13 +56,13 @@ def quartiles(values: list) -> list:
 
 
 def summarize(runs: list, better: dict) -> dict:
-    """Per workload and metric of the untraced runs: medians, quartiles and pairs won.
+    """Per workload and metric of the untraced runs with a result: medians, quartiles and pairs won.
 
     better maps a metric name to "higher" or "lower"; a metric it lacks gets no pair count.
     """
     summary = {}
     for run in runs:
-        if run["trace"]:
+        if run["trace"] or "result" not in run:  # a run that printed no result has no metrics
             continue
         by_metric = summary.setdefault(run["workload"], {})
         for name, metric in run["result"]["metrics"].items():
