@@ -16,7 +16,7 @@ import time
 import numpy as np
 
 from . import harness
-from .harness import ConfigError, _pool_width, config_digest, emit_csv, load_config, resolved_text
+from .harness import ConfigError, config_digest, emit_csv, load_config, plan_chunks, resolved_text
 from .harness import run_experiment
 
 
@@ -29,12 +29,15 @@ THREAD_VARS = (
 )
 
 
-def _manifest(cfg, workers: int, wall_s: float) -> str:
-    """What ran, as key = value lines: digest, seed, workers, versions, thread settings, wall time."""
+def _manifest(cfg, threads: int, wall_s: float) -> str:
+    """What ran, as key = value lines: digest, seed, the chunk plan for --threads (workers and
+    trials per chunk), versions, thread settings, wall time."""
+    chunks, workers = plan_chunks(cfg, threads)
     fields = {
         "config_digest": config_digest(cfg),
         "master_seed": cfg.master_seed,
         "workers": workers,
+        "chunk_trials": len(chunks[0]),
         "python": platform.python_version(),
         "numpy": np.__version__,
         **{var: os.environ.get(var, "unset") for var in THREAD_VARS},
@@ -75,14 +78,13 @@ def main(argv=None) -> int:
         return 0
 
     try:
-        workers = _pool_width(args.threads, cfg.n_trials)
         start = time.perf_counter()
-        records = run_experiment(cfg, workers=workers)
+        records = run_experiment(cfg, workers=args.threads)
         emit_csv(records, args.out)
         wall_s = time.perf_counter() - start
         for name, text in (
             ("config_resolved.txt", resolved_text(cfg)),
-            ("manifest.txt", _manifest(cfg, workers, wall_s)),
+            ("manifest.txt", _manifest(cfg, args.threads, wall_s)),
         ):
             with open(os.path.join(args.out, name), "w", encoding="utf-8") as fh:
                 fh.write(text)

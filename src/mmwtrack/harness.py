@@ -7,7 +7,8 @@ produce identical results. Channel realizations are keyed on the trial index
 alone, and probes and noise on (SNR index, trial), so every variant of a trial
 sees the same channel, probes and noise (paired comparison). Trials run in
 chunks of consecutive trials, each variant's streams of a chunk stacked on
-(trial, SNR point) axes.
+(trial, SNR point) axes. A chunk's size follows from the bytes of a trial's
+probe blocks and the pool width (plan_chunks), never from the records.
 """
 
 from __future__ import annotations
@@ -257,16 +258,33 @@ def _transmit_powers(snr_grid_db, n_ms: int, h2: float) -> tuple:
     return tuple(p_ts)
 
 
-# Trials per chunk, B: each variant's B x n_snr streams run as one stack, so the per-call cost
-# of Python and numpy, which dominates a 7-stream stack, is paid once per B trials. B = 3 ran
-# `paper` 1.4x as fast as one trial per stack, peak RSS 4-6% higher (BENCH_chunks.json), and a
-# chunk's memory grows with B. B is fixed: chunks follow the trial index, never --threads.
-CHUNK_TRIALS = 3
+# The largest chunk's drawn ProbeBlocks, in bytes. A chunk of B trials runs each variant's
+# B x n_snr streams as one stack, so the per-call cost of Python and numpy, which dominates a
+# 7-stream stack, is paid once per chunk; but it holds its blocks through every variant. This
+# allows 3 trials at the 100 x 30 paper geometry (458 KB each, m = 1 or 2), where B = 3 ran
+# `paper` 1.4x as fast as B = 1 at 4-6% more peak RSS (BENCH_chunks.json), and 17 at 16 x 8.
+CHUNK_BYTES = 1_500_000
 
 
-def _chunk_records(cfg: ExperimentConfig, first: int) -> list:
-    """Each trial's records, in (variant, SNR) order, for the chunk of trials from first."""
-    trials = range(first, min(first + CHUNK_TRIALS, cfg.n_trials))
+def plan_chunks(cfg: ExperimentConfig, workers: int) -> tuple:
+    """(chunks, width): the trials as ranges of B consecutive trials (the last may be shorter),
+    and the pool width, at most one worker per chunk. B = ceil(n_trials / k) for the fewest k
+    that is a multiple of the width and keeps every chunk's drawn blocks within CHUNK_BYTES,
+    so the trials split evenly over the pool. Records do not depend on the plan."""
+    p = cfg.protocol
+    n_bs, n_ms, n = cfg.bs.n_elements, cfg.ms.n_elements, cfg.n_trials
+    # int8 signs and float64 real and imaginary noise, phase (a) then phase (b), per SNR point
+    trial_bytes = len(cfg.snr_grid_db) * (p.p_bs * n_bs + 16 * p.p_bs * n_ms + p.p_ms * p.m + 16 * p.p_ms * n_bs)
+    largest = max(1, CHUNK_BYTES // trial_bytes)
+    width = max(1, min(workers, n))
+    n_chunks = width * -(-n // (width * largest))  # the fewest multiple of width within largest
+    b = -(-n // n_chunks)
+    chunks = tuple(range(first, min(first + b, n)) for first in range(0, n, b))
+    return chunks, min(width, len(chunks))
+
+
+def _chunk_records(cfg: ExperimentConfig, trials: range) -> list:
+    """Each trial's records, in (variant, SNR) order, for a chunk of consecutive trials."""
     snrs = cfg.snr_grid_db
     n_bs, n_ms = cfg.bs.n_elements, cfg.ms.n_elements
     m = cfg.protocol.m
@@ -368,17 +386,12 @@ def _openblas():
     return None
 
 
-def _pool_width(workers: int, n_trials: int) -> int:
-    """The worker count a run uses: at least 1, at most one per chunk of trials."""
-    return max(1, min(workers, -(-n_trials // CHUNK_TRIALS)))
-
-
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list:
     """All trial records for a config, ordered by (variant, SNR, trial).
 
-    Trials run in chunks of CHUNK_TRIALS, at most one worker per chunk; neither
-    the chunk size nor the worker count changes a record's bytes. It first sets
-    numpy's bundled OpenBLAS to one thread, leaving any other BLAS alone: a
+    Trials run in the chunks of plan_chunks(cfg, workers), on its pool width;
+    neither the chunks nor the worker count changes a record's bytes. It first
+    sets numpy's bundled OpenBLAS to one thread, leaving any other BLAS alone: a
     trial's small products gain little from a second thread, which spins between
     calls, and forked pool workers inherit the count. The caller's process stays
     on one BLAS thread. Record bytes do not depend on it.
@@ -386,15 +399,13 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list:
     lib = _openblas()
     if lib is not None:
         lib.scipy_openblas_set_num_threads64_(1)
-    firsts = range(0, cfg.n_trials, CHUNK_TRIALS)
-    workers = _pool_width(workers, cfg.n_trials)  # the pool forks all its workers at the first submit
-    if workers > 1:
-        per_map = max(1, len(firsts) // (workers * 4))
+    chunks, workers = plan_chunks(cfg, workers)
+    if workers > 1:  # the pool forks all its workers at the first submit
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_chunk_records, repeat(cfg), firsts, chunksize=per_map))
+            done = list(pool.map(_chunk_records, repeat(cfg), chunks))
     else:
-        chunks = [_chunk_records(cfg, first) for first in firsts]
-    per_trial = [records for chunk in chunks for records in chunk]
+        done = [_chunk_records(cfg, trials) for trials in chunks]
+    per_trial = [records for chunk in done for records in chunk]
     # each trial lists its records in (variant, SNR) order: the k-th of every trial, in trial order
     return [rec for same_k in zip(*per_trial) for rec in same_k]
 

@@ -152,8 +152,15 @@ def _received(link, n_probes, cfg: ProtocolConfig, sigma2_n, block) -> np.ndarra
     link_t = np.ascontiguousarray(np.swapaxes(link, -1, -2)).view(np.float64)
     parts = np.matmul(block.signs, link_t)
     parts *= np.sqrt(np.asarray(cfg.tx_power_scale, dtype=float))[..., None, None]
-    parts[..., 0::2] += math.sqrt(sigma2_n / 2.0) * block.re
-    parts[..., 1::2] += math.sqrt(sigma2_n / 2.0) * block.im
+    # the noise is scaled into one reused buffer one slice at a time, a slice being the last
+    # three axes (a chunk trial's streams), so that no temporary as large as the block is made
+    real, imag = parts[..., 0::2], parts[..., 1::2]
+    tail = real.shape[-3:]
+    scaled = np.empty(tail)
+    for part, noise in ((real, block.re), (imag, block.im)):
+        for dst, src in zip(part.reshape((-1,) + tail), noise.reshape((-1,) + tail), strict=True):
+            np.multiply(src, math.sqrt(sigma2_n / 2.0), out=scaled)
+            dst += scaled
     return parts.view(complex)
 
 

@@ -304,7 +304,7 @@ class TestRunExperiment:
         assert run_experiment(cfg) == run_experiment(cfg)
 
     def test_parallel_matches_serial(self):
-        cfg = load_config(SEVEN_TRIALS)  # chunks of 3, 3 and 1 trials: the pool runs
+        cfg = load_config(SEVEN_TRIALS)  # one chunk of 7 trials, then chunks of 4 and 3 on a pool
         assert run_experiment(cfg, workers=1) == run_experiment(cfg, workers=2)
 
     def test_workers_are_capped_at_the_trial_count(self, monkeypatch):
@@ -324,13 +324,13 @@ class TestRunExperiment:
             def map(self, fn, *iterables, chunksize=1):
                 return map(fn, *iterables)
 
-        cfg = load_config(SEVEN_TRIALS)  # 3 chunks
+        cfg = load_config(SEVEN_TRIALS)  # on 64 workers: 7 chunks of one trial
         serial = run_experiment(cfg)
         monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
         assert run_experiment(cfg, workers=64) == serial
-        assert sizes == [3]  # one worker per chunk
-        run_experiment(load_config(SMALL), workers=8)  # one chunk runs serially, with no pool
-        assert sizes == [3]
+        assert sizes == [7]  # one worker per trial
+        run_experiment(load_config(ONE_TRIAL), workers=8)  # one trial runs serially, with no pool
+        assert sizes == [7]
 
     def test_single_warmup_sample_below_multiplexing_order(self):
         # one warm-up sample spans rank 1, so the second column is a completion
@@ -416,26 +416,86 @@ class TestEveryKeyMovesARecord:
         assert any(moved(a, b) for row in cells for a, b in zip(cells[row], base_cells[row]))
 
 
+# the reduced-2w benchmark workload: 16 x 8 arrays, 7 SNR points, 16 trials on 2 workers
+REDUCED_2W = """
+n_bs = 16
+n_ms = 8
+n_rf_bs = 8
+n_rf_ms = 4
+snr_grid_db = -10,-5,0,5,10,15,20
+n_data_symbols = 2000
+n_trials = 16
+"""
+
+
+def fixed_chunks(b):
+    """A stand-in for harness.plan_chunks: chunks of b trials, at most one worker per chunk."""
+    def plan(cfg, workers):
+        chunks = tuple(range(t, min(t + b, cfg.n_trials)) for t in range(0, cfg.n_trials, b))
+        return chunks, max(1, min(workers, len(chunks)))
+    return plan
+
+
 class TestChunks:
-    """Records do not depend on how many trials a chunk stacks."""
+    """The chunk plan follows a trial's probe bytes and the pool width; records do not depend on it."""
+
+    @staticmethod
+    def sizes(text, workers, **keys) -> tuple:
+        chunks, width = harness.plan_chunks(replace(load_config(text), **keys), workers)
+        return [len(c) for c in chunks], width
+
+    def test_every_trial_lands_in_exactly_one_chunk_in_order(self):
+        for text in (SMALL, REDUCED_2W, PAPER_SETUP):
+            for n_trials in (1, 2, 3, 5, 7, 16, 17, 35, 200):
+                for workers in (0, 1, 2, 3, 8, 64):
+                    cfg = replace(load_config(text), n_trials=n_trials)
+                    chunks, width = harness.plan_chunks(cfg, workers)
+                    assert [t for c in chunks for t in c] == list(range(n_trials))
+                    b = len(chunks[0])
+                    assert all(len(c) == b for c in chunks[:-1]) and 1 <= len(chunks[-1]) <= b
+                    assert 1 <= width <= min(max(workers, 1), len(chunks))
+
+    def test_a_chunk_holds_its_probe_bytes_within_the_budget(self):
+        # 16 x 8 at 7 SNR points: 7 x (30 x 16 + 16 x 30 x 8 + 30 x 1 + 16 x 30 x 16) = 84 210 bytes a trial
+        assert self.sizes(REDUCED_2W, 1, n_trials=17) == ([17], 1)
+        assert self.sizes(REDUCED_2W, 1, n_trials=18) == ([9, 9], 1)
+        assert self.sizes(REDUCED_2W, 1, n_trials=40) == ([14, 14, 12], 1)
+        assert self.sizes(REDUCED_2W, 2, n_trials=40) == ([10] * 4, 2)  # 4 chunks, not 3 on 2 workers
+
+    @pytest.mark.parametrize("m", [1, 2], ids=["paper", "mimo2"])
+    def test_paper_geometries_plan_chunks_of_3(self, m):
+        # 100 x 30 at 7 SNR points: 7 x (30 x 100 + 16 x 30 x 30 + 30 m + 16 x 30 x 100), about 458 KB a trial
+        text = PAPER_SETUP + f"multiplexing_order = {m}\n"
+        assert self.sizes(text, 1, n_trials=3) == ([3], 1)
+        assert self.sizes(text, 1, n_trials=4) == ([2, 2], 1)
+        assert self.sizes(text, 1, n_trials=12) == ([3] * 4, 1)  # the paper workload
+        assert self.sizes(text, 1, n_trials=16) == ([3] * 5 + [1], 1)  # the mimo2 workload
+        assert self.sizes(text, 8, n_trials=200) == ([3] * 66 + [2], 8)  # the acceptance runs
+
+    def test_reduced_2w_plans_2_chunks_of_8(self):
+        assert self.sizes(REDUCED_2W, 2) == ([8, 8], 2)
+        assert self.sizes(REDUCED_2W, 1) == ([16], 1)
 
     @staticmethod
     def records_csv(cfg, workers, tmp_path, name) -> bytes:
         emit_csv(run_experiment(cfg, workers=workers), tmp_path / name)
         return (tmp_path / name / "records.csv").read_bytes()
 
-    @pytest.mark.parametrize("text, workers", [
-        (SEVEN_TRIALS, 1),
-        (SEVEN_TRIALS, 2),
-        (PAPER_SETUP + "n_trials = 7\nn_data_symbols = 200\n", 1),
-        (PAPER_SETUP + "n_trials = 7\nmultiplexing_order = 2\n", 1),
-    ], ids=["reduced", "reduced-2-workers", "paper", "paper-m2"])
-    def test_one_trial_chunks_give_the_same_bytes(self, monkeypatch, tmp_path, text, workers):
-        cfg = load_config(text)  # 7 trials: chunks of 3, 3 and 1
-        assert harness.CHUNK_TRIALS == 3
-        stacked = self.records_csv(cfg, workers, tmp_path, "stacked")
-        monkeypatch.setattr(harness, "CHUNK_TRIALS", 1)  # forked workers inherit it
-        assert self.records_csv(cfg, workers, tmp_path, "one-trial") == stacked
+    @pytest.mark.parametrize("text, workers, planned", [
+        (SEVEN_TRIALS, 1, 7),
+        (SEVEN_TRIALS, 2, 4),
+        (PAPER_SETUP + "n_trials = 7\nn_data_symbols = 200\n", 1, 3),
+        (PAPER_SETUP + "n_trials = 7\nn_data_symbols = 200\n", 2, 2),
+        (PAPER_SETUP + "n_trials = 7\nmultiplexing_order = 2\n", 1, 3),
+        (PAPER_SETUP + "n_trials = 7\nmultiplexing_order = 2\n", 2, 2),
+    ], ids=["reduced", "reduced-2-workers", "paper", "paper-2-workers", "paper-m2", "paper-m2-2-workers"])
+    def test_one_trial_chunks_give_the_same_bytes(self, monkeypatch, tmp_path, text, workers, planned):
+        cfg = load_config(text)  # 7 trials
+        assert len(harness.plan_chunks(cfg, workers)[0][0]) == planned
+        stacked = self.records_csv(cfg, workers, tmp_path, "planned")
+        for b in (1, 7):  # one trial per chunk, then one chunk of every trial
+            monkeypatch.setattr(harness, "plan_chunks", fixed_chunks(b))
+            assert self.records_csv(cfg, workers, tmp_path, f"b{b}") == stacked
 
 
 class TestSharedDraws:
@@ -672,7 +732,7 @@ class TestCli:
 
     def test_simulate_writes_a_manifest(self, tmp_path, monkeypatch):
         path = tmp_path / "cfg.txt"
-        path.write_text(SMALL.replace("n_trials = 3", "n_trials = 4"))  # 2 chunks, so 2 workers
+        path.write_text(SMALL.replace("n_trials = 3", "n_trials = 4"))  # 2 chunks of 2 on 2 workers
         out = tmp_path / "out"
         monkeypatch.setenv("OMP_NUM_THREADS", "3")
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
@@ -682,7 +742,7 @@ class TestCli:
         fields = dict(line.split(" = ", 1) for line in lines)
         cfg = load_config(path.read_text().replace("master_seed = 7", "master_seed = 99"))
         assert fields["config_digest"] == config_digest(cfg)
-        assert fields["master_seed"] == "99" and fields["workers"] == "2"
+        assert fields["master_seed"] == "99" and fields["workers"] == "2" and fields["chunk_trials"] == "2"
         assert fields["python"] == platform.python_version() and fields["numpy"] == np.__version__
         assert fields["OMP_NUM_THREADS"] == "3" and fields["OPENBLAS_NUM_THREADS"] == "unset"
         assert float(fields["wall_s"]) > 0.0
@@ -693,11 +753,14 @@ class TestCli:
 
     def test_manifest_names_the_workers_that_ran(self, tmp_path):
         path = tmp_path / "cfg.txt"
-        path.write_text(SEVEN_TRIALS)  # 3 chunks: a pool of 3, not of the 4 asked for
+        path.write_text(SEVEN_TRIALS)  # 7 chunks of 1: a pool of 7, not of the 16 asked for
         out = tmp_path / "out"
-        assert cli_main(["simulate", "--config", str(path), "--out", str(out), "--threads", "4"]) == 0
+        assert cli_main(["simulate", "--config", str(path), "--out", str(out), "--threads", "16"]) == 0
         fields = dict(line.split(" = ", 1) for line in (out / "manifest.txt").read_text().splitlines())
-        assert fields["workers"] == "3"
+        assert fields["workers"] == "7" and fields["chunk_trials"] == "1"
+        assert cli_main(["simulate", "--config", str(path), "--out", str(out), "--threads", "2"]) == 0
+        fields = dict(line.split(" = ", 1) for line in (out / "manifest.txt").read_text().splitlines())
+        assert fields["workers"] == "2" and fields["chunk_trials"] == "4"
 
     @pytest.mark.parametrize("snr_db, accepted", [(-3131.0, True), (2972.5, True), (-3131.5, False), (2973.0, False)])
     def test_validate_and_trial_accept_the_same_snr_points(self, tmp_path, capsys, monkeypatch, snr_db, accepted):
@@ -751,7 +814,7 @@ class TestCli:
             assert (out2 / name).read_bytes() == (out3 / name).read_bytes()
 
 
-def report_blas_threads(cfg, first):
+def report_blas_threads(cfg, trials):
     """Stands in for harness._chunk_records: where the chunk ran and on how many BLAS threads,
     as the one record of one trial."""
     return [[(os.getpid(), harness._openblas().scipy_openblas_get_num_threads64_())]]
@@ -772,8 +835,8 @@ class TestOneBlasThread:
     def test_pool_workers_run_on_one_thread(self, openblas, monkeypatch):
         # pool.map pickles the function by name, and the forked worker finds the patched one
         monkeypatch.setattr(harness, "_chunk_records", report_blas_threads)
-        reports = run_experiment(load_config(SEVEN_TRIALS), workers=2)
-        assert len(reports) == 3 and os.getpid() not in {pid for pid, _ in reports}
+        reports = run_experiment(load_config(SEVEN_TRIALS), workers=2)  # chunks of 4 and 3
+        assert len(reports) == 2 and os.getpid() not in {pid for pid, _ in reports}
         assert {threads for _, threads in reports} == {1}
 
     def test_serial_run_leaves_the_caller_on_one_thread(self, openblas):
