@@ -5,10 +5,10 @@ names. Per-trial randomness is derived from the master seed and the trial and
 SNR indices through numpy SeedSequence spawn keys, so parallel and serial runs
 produce identical results. Channel realizations are keyed on the trial index
 alone, and probes and noise on (SNR index, trial), so every variant of a trial
-sees the same channel, probes and noise (paired comparison). Trials run in
-chunks of consecutive trials, each variant's streams of a chunk stacked on
-(trial, SNR point) axes. A chunk's size follows from the bytes of a trial's
-probe blocks and the pool width (plan_chunks), never from the records.
+sees the same channel, probes and noise (paired comparison). The trials split
+into chunks of consecutive trials, as evenly over the pool as the bytes of a
+trial's probe blocks allow (plan_chunks), and no record depends on the split.
+Each variant's streams of a chunk are stacked on (trial, SNR point) axes.
 """
 
 from __future__ import annotations
@@ -258,29 +258,27 @@ def _transmit_powers(snr_grid_db, n_ms: int, h2: float) -> tuple:
     return tuple(p_ts)
 
 
-# The largest chunk's drawn ProbeBlocks, in bytes. A chunk of B trials runs each variant's
-# B x n_snr streams as one stack, so the per-call cost of Python and numpy, which dominates a
-# 7-stream stack, is paid once per chunk; but it holds its blocks through every variant. This
-# allows 3 trials at the 100 x 30 paper geometry (458 KB each, m = 1 or 2), where B = 3 ran
-# `paper` 1.4x as fast as B = 1 at 4-6% more peak RSS (BENCH_chunks.json), and 17 at 16 x 8.
+# The largest chunk's drawn ProbeBlocks, in bytes: 3 trials at 100 x 30 (458 KB each), 17 at 16 x 8. A
+# chunk pays the per-call cost of Python and numpy once for its B x n_snr streams but holds its blocks
+# through every variant. At B = 1, 2, 3, 4, 6, `paper` ran 105, 148, 165, 173, 182 trials/s at 45.9, 46.5,
+# 47.4, 48.4, 50.5 MB peak RSS and `mimo2` 111, 155, 171, 191, 203 at 45.5, 46.7, 47.6, 48.6, 50.9
+# (BENCH_chunkbytes.json): B = 3 stays within 5% of B = 1's memory; more buys speed with memory.
 CHUNK_BYTES = 1_500_000
 
 
 def plan_chunks(cfg: ExperimentConfig, workers: int) -> tuple:
-    """(chunks, width): the trials as ranges of B consecutive trials (the last may be shorter),
-    and the pool width, at most one worker per chunk. B = ceil(n_trials / k) for the fewest k
-    that is a multiple of the width and keeps every chunk's drawn blocks within CHUNK_BYTES,
-    so the trials split evenly over the pool. Records do not depend on the plan."""
+    """(chunks, width): the trials as k ranges of consecutive trials whose sizes differ by at
+    most one, the first a largest, and the pool width. k is the fewest multiple of the width,
+    capped at n_trials, that keeps every chunk's drawn blocks within CHUNK_BYTES (a trial over it
+    runs alone), so the trials split evenly over the pool. Records do not depend on the plan."""
     p = cfg.protocol
     n_bs, n_ms, n = cfg.bs.n_elements, cfg.ms.n_elements, cfg.n_trials
     # int8 signs and float64 real and imaginary noise, phase (a) then phase (b), per SNR point
     trial_bytes = len(cfg.snr_grid_db) * (p.p_bs * n_bs + 16 * p.p_bs * n_ms + p.p_ms * p.m + 16 * p.p_ms * n_bs)
-    largest = max(1, CHUNK_BYTES // trial_bytes)
     width = max(1, min(workers, n))
-    n_chunks = width * -(-n // (width * largest))  # the fewest multiple of width within largest
-    b = -(-n // n_chunks)
-    chunks = tuple(range(first, min(first + b, n)) for first in range(0, n, b))
-    return chunks, min(width, len(chunks))
+    k = min(n, width * -(-n // (width * max(1, CHUNK_BYTES // trial_bytes))))
+    edges = [-(-i * n // k) for i in range(k + 1)]  # ceil(i n / k)
+    return tuple(map(range, edges, edges[1:])), width
 
 
 def _chunk_records(cfg: ExperimentConfig, trials: range) -> list:
@@ -288,15 +286,14 @@ def _chunk_records(cfg: ExperimentConfig, trials: range) -> list:
     snrs = cfg.snr_grid_db
     n_bs, n_ms = cfg.bs.n_elements, cfg.ms.n_elements
     m = cfg.protocol.m
-    chans, p_ts, bounds, mcfgs = [], [], [], []
+    chans, p_ts, bounds = [], [], []
     for t in trials:
         chan_rng = np.random.default_rng(np.random.SeedSequence(cfg.master_seed, spawn_key=(0, t)))
         try:
             chans.append(sample_channel(cfg.channel, cfg.bs, cfg.ms, chan_rng))
             p_ts.append(_transmit_powers(snrs, n_ms, float(np.linalg.norm(chans[-1].h) ** 2)))
-            # the same for every variant: the oracle's rate and the DPSK link at each power
+            # the same for every variant: the oracle's rate at each power
             bounds.append(spectral_efficiency_bound(chans[-1].sigma[:m], p_ts[-1], NOISE_VARIANCE))
-            mcfgs.append(replace(cfg.metrics, p_t_bs=p_ts[-1]))
         except Exception as exc:
             raise RuntimeError(f"trial {t}, channel draw: {exc}") from exc
     # the chunk's channels as one realization with axes (trial, 1, ...), broadcast over the SNR axis
@@ -324,7 +321,7 @@ def _chunk_records(cfg: ExperimentConfig, trials: range) -> list:
         with _named(tuple(tracked), trials, snrs, seeds):
             beams = run_protocol(chunk, tuple(tracked.values()), cfg.front_end, NOISE_VARIANCE, probes)
             beams_of = dict(zip(tracked, beams))
-    scored = []
+    tables = {}  # each variant's beams and eta_u, eta_v, se_bits, ser (None unless DPSK) per (trial, SNR point)
     for name in cfg.variants:
         with _named((name,), trials, snrs, seeds):
             beams = beams_of.get(name, oracle)  # the oracle's: one pair per trial, at every power
@@ -333,24 +330,20 @@ def _chunk_records(cfg: ExperimentConfig, trials: range) -> list:
             eta_u = np.broadcast_to(normalized_correlation(chunk.u[..., 0], beams.d_ms[..., 0]), shape)
             eta_v = np.broadcast_to(normalized_correlation(chunk.v[..., 0], beams.d_bs[..., 0]), shape)
             _check_metrics(eta_u, eta_v, se, np.array(bounds))
-        scored.append((name, beams, eta_u, eta_v, se))
+        tables[name] = beams, np.stack([eta_u, eta_v, se, np.full(shape, None)], axis=-1)
 
     # DPSK one trial at a time, after every variant's probing: each generator's last draw is
     # its noise, and a trial's noise and DPSK arrays (n_snr x n_data_symbols) are all that is held
-    sers = {name: [[None] * len(snrs) for _ in trials] for name, *_ in scored}
-    for b, (t, chan, mcfg) in enumerate(zip(trials, chans, mcfgs) if m == 1 else ()):
+    for b, (t, chan) in enumerate(zip(trials, chans) if m == 1 else ()):
+        mcfg = replace(cfg.metrics, p_t_bs=p_ts[b])
         noise = dpsk_noise(rngs[b * len(snrs):(b + 1) * len(snrs)], cfg.metrics.n_data_symbols)
-        for name, beams, *_ in scored:
+        for name, (beams, table) in tables.items():
             with _named((name,), (t,), snrs, seeds[b:b + 1]):
                 trial_beams = EstimatedBeamformers(beams.d_ms[b], beams.d_bs[b])
-                sers[name][b] = dpsk_ser_trial(chan, trial_beams, mcfg, NOISE_VARIANCE, noise).tolist()
+                table[b, :, 3] = dpsk_ser_trial(chan, trial_beams, mcfg, NOISE_VARIANCE, noise)
 
-    records = [[] for _ in trials]
-    for name, _, eta_u, eta_v, se in scored:
-        for b, t in enumerate(trials):
-            rows = zip(snrs, eta_u[b].tolist(), eta_v[b].tolist(), se[b].tolist(), sers[name][b], seeds[b])
-            records[b] += [TrialRecord(t, name, *row) for row in rows]
-    return records
+    return [[TrialRecord(t, name, snr_db, *row, seed) for name, (_, table) in tables.items()
+             for snr_db, row, seed in zip(snrs, table[b].tolist(), seeds[b])] for b, t in enumerate(trials)]
 
 
 @contextlib.contextmanager

@@ -69,3 +69,25 @@ def test_one_run_per_side_has_degenerate_quartiles(bench_pairs):
     runs = [run(bench_pairs, "parent", 1, 100.0, 0.01), run(bench_pairs, "change", 1, 90.0, 0.02)]
     tps = bench_pairs.summarize(runs, {"trials_per_s": "higher"})["paper"]["trials_per_s"]
     assert tps["parent_quartiles"] == [100.0, 100.0] and tps["change_better_pairs"] == 0
+
+
+@pytest.mark.parametrize("failing_run", [None, 3], ids=["all-ran", "one-printed-no-result"])
+def test_main_writes_every_run_and_exits_1_on_a_missing_result(bench_pairs, monkeypatch, tmp_path, failing_run):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [{"name": "trials_per_s", "better": "higher"}]}))
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    calls = []
+
+    def run_once(root, workload, seed, seconds, trace):
+        calls.append(root)
+        if len(calls) == failing_run:
+            return {"returncode": 1, "stderr_tail": "Traceback: boom"}
+        env, result = bench_pairs.parse_run(stdout(100.0 + len(calls), 0.01))
+        return {"returncode": 0, "env": env, "result": result}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    argv = ["--parent", str(tmp_path / "parent"), "--label", "t", "--workload", "paper", "--pairs", "2"]
+    assert bench_pairs.main(argv) == (0 if failing_run is None else 1)
+    bench = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert len(calls) == len(bench["runs"]) == 4  # the failed run is written too, with its stderr
+    assert ["result" in r for r in bench["runs"]] == [i + 1 != failing_run for i in range(4)]
+    assert bench["summary"]["paper"]["trials_per_s"]["pairs"] == (2 if failing_run is None else 1)

@@ -441,26 +441,43 @@ class TestChunks:
 
     @staticmethod
     def sizes(text, workers, **keys) -> tuple:
+        """The planned chunk sizes, largest first (the counts, not the order), and the pool width."""
         chunks, width = harness.plan_chunks(replace(load_config(text), **keys), workers)
-        return [len(c) for c in chunks], width
+        return sorted((len(c) for c in chunks), reverse=True), width
+
+    @staticmethod
+    def trial_bytes(cfg) -> int:
+        """One trial's drawn ProbeBlocks, in bytes, measured on the blocks draw_probes returns."""
+        rngs = [np.random.default_rng(0) for _ in cfg.snr_grid_db]
+        p = cfg.protocol
+        return sum(a.nbytes for n_probes, n_tx, n_rx in ((p.p_bs, cfg.n_bs, cfg.n_ms), (p.p_ms, p.m, cfg.n_bs))
+                   for a in protocol.draw_probes(rngs, n_probes, n_tx, n_rx))
 
     def test_every_trial_lands_in_exactly_one_chunk_in_order(self):
         for text in (SMALL, REDUCED_2W, PAPER_SETUP):
-            for n_trials in (1, 2, 3, 5, 7, 16, 17, 35, 200):
-                for workers in (0, 1, 2, 3, 8, 64):
+            trial_bytes = self.trial_bytes(load_config(text))
+            for n_trials in (1, 2, 3, 5, 7, 9, 16, 17, 35, 200):
+                for workers in (0, 1, 2, 3, 4, 8, 64):
                     cfg = replace(load_config(text), n_trials=n_trials)
                     chunks, width = harness.plan_chunks(cfg, workers)
                     assert [t for c in chunks for t in c] == list(range(n_trials))
-                    b = len(chunks[0])
-                    assert all(len(c) == b for c in chunks[:-1]) and 1 <= len(chunks[-1]) <= b
-                    assert 1 <= width <= min(max(workers, 1), len(chunks))
+                    sizes = [len(c) for c in chunks]
+                    assert max(sizes) - min(sizes) <= 1 and sizes[0] == max(sizes)  # the manifest reads [0]
+                    assert len(chunks) % width == 0 or len(chunks) == n_trials
+                    assert width == max(1, min(workers, n_trials))
+                    # within the budget (a trial over it runs alone), and width fewer chunks would not be
+                    assert sizes[0] == 1 or sizes[0] * trial_bytes <= harness.CHUNK_BYTES
+                    if len(chunks) > width:
+                        assert -(-n_trials // (len(chunks) - width)) * trial_bytes > harness.CHUNK_BYTES
 
     def test_a_chunk_holds_its_probe_bytes_within_the_budget(self):
         # 16 x 8 at 7 SNR points: 7 x (30 x 16 + 16 x 30 x 8 + 30 x 1 + 16 x 30 x 16) = 84 210 bytes a trial
         assert self.sizes(REDUCED_2W, 1, n_trials=17) == ([17], 1)
         assert self.sizes(REDUCED_2W, 1, n_trials=18) == ([9, 9], 1)
-        assert self.sizes(REDUCED_2W, 1, n_trials=40) == ([14, 14, 12], 1)
+        assert self.sizes(REDUCED_2W, 1, n_trials=40) == ([14, 13, 13], 1)
         assert self.sizes(REDUCED_2W, 2, n_trials=40) == ([10] * 4, 2)  # 4 chunks, not 3 on 2 workers
+        assert self.sizes(REDUCED_2W, 4, n_trials=9) == ([3, 2, 2, 2], 4)  # every worker gets a chunk
+        assert self.sizes(REDUCED_2W, 8, n_trials=200) == ([13] * 8 + [12] * 8, 8)  # the acceptance run
 
     @pytest.mark.parametrize("m", [1, 2], ids=["paper", "mimo2"])
     def test_paper_geometries_plan_chunks_of_3(self, m):
@@ -469,8 +486,8 @@ class TestChunks:
         assert self.sizes(text, 1, n_trials=3) == ([3], 1)
         assert self.sizes(text, 1, n_trials=4) == ([2, 2], 1)
         assert self.sizes(text, 1, n_trials=12) == ([3] * 4, 1)  # the paper workload
-        assert self.sizes(text, 1, n_trials=16) == ([3] * 5 + [1], 1)  # the mimo2 workload
-        assert self.sizes(text, 8, n_trials=200) == ([3] * 66 + [2], 8)  # the acceptance runs
+        assert self.sizes(text, 1, n_trials=16) == ([3] * 4 + [2] * 2, 1)  # the mimo2 workload
+        assert self.sizes(text, 8, n_trials=200) == ([3] * 56 + [2] * 16, 8)  # the acceptance runs: 25 a worker
 
     def test_reduced_2w_plans_2_chunks_of_8(self):
         assert self.sizes(REDUCED_2W, 2) == ([8, 8], 2)

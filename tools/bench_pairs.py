@@ -7,7 +7,8 @@ final JSON, side and order go to ``BENCH_<label>.json`` at the root of this
 checkout, with a summary per workload and metric: each side's median and
 quartiles and the pairs in which this checkout did better, by the direction
 ``BENCHMARK.json`` gives the metric. ``--trace`` adds one ``--trace 1`` run per
-side and workload after the pairs, kept apart from the summary.
+side and workload after the pairs, kept apart from the summary. The tool exits 1,
+after writing the file, when any of its runs printed no result.
 
     python tools/bench_pairs.py --parent ../parent --label gram --workload paper \\
         --pairs 10 --seconds 35 --seed 101
@@ -134,17 +135,22 @@ def main(argv=None) -> int:
         plan += [(side, pair, order[0], args.seed + pair - first_pair, 0) for side in order]
     if args.trace:
         plan += [(side, None, None, args.seed, 1) for side in sides]
+    failed = 0
     for side, pair, first, seed, trace in plan:
         record = {"side": side, "workload": args.workload, "seed": seed, "pair": pair,
                   "first_in_pair": first, "seconds": args.seconds, "trace": trace}
         record.update(run_once(sides[side], args.workload, seed, args.seconds, trace))
         bench["runs"].append(record)
+        failed += "result" not in record
         value = record.get("result", {}).get("metrics", {}).get("trials_per_s", {}).get("value")
         print(f"{args.workload} pair {pair} {side}: seed {seed}, trace {trace}, "
               f"exit {record['returncode']}, trials_per_s {value}", file=sys.stderr)
         bench["summary"] = summarize(bench["runs"], better)
         path.write_text(json.dumps(bench, indent=1) + "\n")  # after every run, so a cut run keeps the rest
-    return 0
+    if failed:  # the summary skips such runs, so say so here
+        print(f"{failed} of {len(plan)} runs printed no result; their stderr_tail is in {path.name}",
+              file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
