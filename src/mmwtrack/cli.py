@@ -67,6 +67,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(pathlib.Path(args.config))
+        if args.command == "simulate" and args.threads < 1:
+            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         if args.command == "simulate" and args.seed is not None:
             cfg = dataclasses.replace(cfg, master_seed=args.seed)
     except ConfigError as exc:

@@ -60,8 +60,8 @@ def spectral_efficiency(h, d_ms, d_bs, p_t_bs, sigma2_n: float):
 
 
 def spectral_efficiency_bound(sigma, p_t_bs, sigma2_n: float):
-    """The oracle's rate sum_i log2(1 + P sigma_i^2 / sigma2) over singular values, per power P."""
-    bound = np.sum(np.log2(1.0 + np.multiply.outer(p_t_bs, np.square(sigma)) / sigma2_n), axis=-1)
+    """The oracle's rate sum_i log2(1 + P sigma_i^2 / sigma2) per power P, P's axes before sigma's."""
+    bound = np.sum(np.log2(1.0 + np.asarray(p_t_bs)[..., None] * np.square(sigma) / sigma2_n), axis=-1)
     return float(bound) if bound.ndim == 0 else bound
 
 

@@ -107,20 +107,16 @@ class ExperimentConfig:
                 raise ConfigError(f"{f.name}: non-finite value in {_fmt_value(value)!r}")
         if len(self.rays_per_cluster) == 1:
             object.__setattr__(self, "rays_per_cluster", self.rays_per_cluster * self.n_clusters)
-        bs = ArrayConfig(self.n_bs, self.element_spacing_wl)
-        ms = ArrayConfig(self.n_ms, self.element_spacing_wl)
-        channel = ChannelParams(
-            self.n_clusters, self.rays_per_cluster, self.los_probability, self.cluster_angle_spread_deg
-        )
-        protocol = ProtocolConfig(
-            p_bs=self.p_bs,
-            p_ms=self.p_ms,
-            warmup=self.warmup,
-            m=self.multiplexing_order,
-            n_rf_bs=self.n_rf_bs,
-            n_rf_ms=self.n_rf_ms,
-            tracker=TrackerSpec(beta=self.pastd_beta, delta=self.ooja_delta),
-        )
+        with _keys(n_elements="n_bs", spacing="element_spacing_wl"):
+            bs = ArrayConfig(self.n_bs, self.element_spacing_wl)
+        with _keys(n_elements="n_ms", spacing="element_spacing_wl"):
+            ms = ArrayConfig(self.n_ms, self.element_spacing_wl)
+        channel = ChannelParams(self.n_clusters, self.rays_per_cluster, self.los_probability,
+                                self.cluster_angle_spread_deg)
+        with _keys(m="multiplexing_order", beta="pastd_beta", delta="ooja_delta"):
+            protocol = ProtocolConfig(p_bs=self.p_bs, p_ms=self.p_ms, warmup=self.warmup, m=self.multiplexing_order,
+                                      n_rf_bs=self.n_rf_bs, n_rf_ms=self.n_rf_ms,
+                                      tracker=TrackerSpec(beta=self.pastd_beta, delta=self.ooja_delta))
         metrics = MetricConfig(self.psk_order, self.n_data_symbols)
         try:  # the trial's rule, at the mean channel power E||H||^2 = n_bs n_ms PATH_GAIN
             _transmit_powers(self.snr_grid_db, self.n_ms, self.n_bs * self.n_ms * PATH_GAIN)
@@ -156,14 +152,26 @@ class ExperimentConfig:
             object.__setattr__(self, name, value)
 
 
+@contextlib.contextmanager
+def _keys(**key_of):
+    """A ValueError whose message starts with a model field of key_of {field: key}, as a ConfigError naming its key."""
+    try:
+        yield
+    except ValueError as exc:
+        if (key := key_of.get(str(exc).split(" ", 1)[0])) is None:
+            raise
+        raise ConfigError(f"{key}: {exc}") from None
+
+
 _DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig) if f.init}
 
 
 def _parse_value(default, text: str):
-    """text as the type of the key's default; a tuple is a comma list, empty tokens skipped."""
+    """text as the type of the key's default: int(s, 0), float or the string as it is; a tuple is a
+    comma list of such entries of its first entry's type, empty tokens skipped."""
     if isinstance(default, tuple):
-        return tuple(type(default[0])(tok.strip()) for tok in text.split(",") if tok.strip())
-    return int(text, 0) if isinstance(default, int) else float(text)
+        return tuple(_parse_value(default[0], tok.strip()) for tok in text.split(",") if tok.strip())
+    return int(text, 0) if isinstance(default, int) else float(text) if isinstance(default, float) else text
 
 
 def _parse_document(text: str) -> dict:
@@ -271,10 +279,9 @@ def plan_chunks(cfg: ExperimentConfig, workers: int) -> tuple:
     most one, the first a largest, and the pool width. k is the fewest multiple of the width,
     capped at n_trials, that keeps every chunk's drawn blocks within CHUNK_BYTES (a trial over it
     runs alone), so the trials split evenly over the pool. Records do not depend on the plan."""
-    p = cfg.protocol
-    n_bs, n_ms, n = cfg.bs.n_elements, cfg.ms.n_elements, cfg.n_trials
-    # int8 signs and float64 real and imaginary noise, phase (a) then phase (b), per SNR point
-    trial_bytes = len(cfg.snr_grid_db) * (p.p_bs * n_bs + 16 * p.p_bs * n_ms + p.p_ms * p.m + 16 * p.p_ms * n_bs)
+    n = cfg.n_trials
+    shapes = draw_probes([], cfg.protocol, cfg.bs.n_elements, cfg.ms.n_elements)  # no stream: the block shapes
+    trial_bytes = len(cfg.snr_grid_db) * sum(a.itemsize * math.prod(a.shape[1:]) for b in shapes for a in b)
     width = max(1, min(workers, n))
     k = min(n, width * -(-n // (width * max(1, CHUNK_BYTES // trial_bytes))))
     edges = [-(-i * n // k) for i in range(k + 1)]  # ceil(i n / k)
@@ -286,19 +293,19 @@ def _chunk_records(cfg: ExperimentConfig, trials: range) -> list:
     snrs = cfg.snr_grid_db
     n_bs, n_ms = cfg.bs.n_elements, cfg.ms.n_elements
     m = cfg.protocol.m
-    chans, p_ts, bounds = [], [], []
+    chans, p_ts = [], []
     for t in trials:
         chan_rng = np.random.default_rng(np.random.SeedSequence(cfg.master_seed, spawn_key=(0, t)))
         try:
             chans.append(sample_channel(cfg.channel, cfg.bs, cfg.ms, chan_rng))
             p_ts.append(_transmit_powers(snrs, n_ms, float(np.linalg.norm(chans[-1].h) ** 2)))
-            # the same for every variant: the oracle's rate at each power
-            bounds.append(spectral_efficiency_bound(chans[-1].sigma[:m], p_ts[-1], NOISE_VARIANCE))
         except Exception as exc:
             raise RuntimeError(f"trial {t}, channel draw: {exc}") from exc
+    powers = np.array(p_ts)  # (trial, SNR point)
     # the chunk's channels as one realization with axes (trial, 1, ...), broadcast over the SNR axis
     arrays = {k: np.stack([getattr(c, k) for c in chans])[:, None] for k in ("h", "u", "sigma", "v")}
     chunk = ChannelRealization(**arrays, rays=tuple(c.rays for c in chans))
+    bounds = spectral_efficiency_bound(chunk.sigma[..., :m], powers, NOISE_VARIANCE)  # the oracle's rates
     # each trial's realization as views of the chunk's, so that the channels are held once
     chans = [ChannelRealization(*(a[b, 0] for a in arrays.values()), c.rays) for b, c in enumerate(chans)]
     oracle = EstimatedBeamformers(d_ms=chunk.u[..., :m], d_bs=chunk.v[..., :m])
@@ -310,26 +317,25 @@ def _chunk_records(cfg: ExperimentConfig, trials: range) -> list:
             for t in trials]
     seeds = [[int(seq.generate_state(1)[0]) for seq in row] for row in seqs]
     rngs = [np.random.default_rng(seq) for row in seqs for seq in row]  # in (trial, SNR) order
-    probes = tuple(ProbeBlock(*(a.reshape(shape + a.shape[1:]) for a in draw_probes(rngs, p, n_tx, n_rx)))
-                   for p, n_tx, n_rx in ((cfg.protocol.p_bs, n_bs, n_ms), (cfg.protocol.p_ms, m, n_bs)))
+    probes = tuple(ProbeBlock(*(a.reshape(shape + a.shape[1:]) for a in block))
+                   for block in draw_probes(rngs, cfg.protocol, n_bs, n_ms))
 
     # every tracker variant in one call, which forms phase (a) once for all of them
-    tracked = {name: replace(protocol, tx_power_scale=tuple(p_ts))
-               for name, protocol in zip(cfg.variants, cfg.variant_protocols) if protocol is not None}
+    tracked = {name: protocol for name, protocol in zip(cfg.variants, cfg.variant_protocols) if protocol is not None}
     beams_of = {}
     if tracked:
         with _named(tuple(tracked), trials, snrs, seeds):
-            beams = run_protocol(chunk, tuple(tracked.values()), cfg.front_end, NOISE_VARIANCE, probes)
+            beams = run_protocol(chunk, tuple(tracked.values()), cfg.front_end, NOISE_VARIANCE, probes, powers)
             beams_of = dict(zip(tracked, beams))
     tables = {}  # each variant's beams and eta_u, eta_v, se_bits, ser (None unless DPSK) per (trial, SNR point)
     for name in cfg.variants:
         with _named((name,), trials, snrs, seeds):
             beams = beams_of.get(name, oracle)  # the oracle's: one pair per trial, at every power
             _check_beams(beams, shape)  # before scoring: a zero-norm column fails it for all
-            se = spectral_efficiency(chunk.h, beams.d_ms, beams.d_bs, np.array(p_ts), NOISE_VARIANCE)
+            se = spectral_efficiency(chunk.h, beams.d_ms, beams.d_bs, powers, NOISE_VARIANCE)
             eta_u = np.broadcast_to(normalized_correlation(chunk.u[..., 0], beams.d_ms[..., 0]), shape)
             eta_v = np.broadcast_to(normalized_correlation(chunk.v[..., 0], beams.d_bs[..., 0]), shape)
-            _check_metrics(eta_u, eta_v, se, np.array(bounds))
+            _check_metrics(eta_u, eta_v, se, bounds)
         tables[name] = beams, np.stack([eta_u, eta_v, se, np.full(shape, None)], axis=-1)
 
     # DPSK one trial at a time, after every variant's probing: each generator's last draw is

@@ -52,7 +52,6 @@ class ProtocolConfig:
     mode: str = MODE_FD
     n_rf_bs: int = 20
     n_rf_ms: int = 10
-    tx_power_scale: float | tuple = 1.0  # a tuple: one per stream of a stack
     tracker: TrackerSpec = field(default_factory=TrackerSpec)
 
     def __post_init__(self):
@@ -67,9 +66,6 @@ class ProtocolConfig:
             raise ValueError(f"mode must be 'fd' or 'hy', got {self.mode!r}")
         if self.mode == MODE_HY and self.m > min(self.n_rf_bs, self.n_rf_ms):
             raise ValueError("hybrid mode requires m <= min(n_rf_bs, n_rf_ms)")
-        scale = np.asarray(self.tx_power_scale)
-        if not np.all(np.isfinite(scale) & (scale > 0)):
-            raise ValueError("tx_power_scale must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -120,38 +116,38 @@ class ProbeBlock(NamedTuple):
     im: np.ndarray
 
 
-def draw_probes(rngs, n_probes: int, n_tx: int, n_rx: int) -> ProbeBlock:
-    """Each generator's block for one phase: the +-1 signs, then the real and imaginary noise.
-    The signs are int8, as a chunk of trials holds its blocks through every variant."""
-    signs = np.empty((len(rngs), n_probes, n_tx), dtype=np.int8)
-    re = np.empty((len(rngs), n_probes, n_rx))
-    im = np.empty_like(re)
-    for i, gen in enumerate(rngs):  # drawn in place: stacking drawn blocks costs as much again
-        signs[i] = gen.integers(0, 2, size=(n_probes, n_tx))
-        gen.standard_normal(out=re[i])
-        gen.standard_normal(out=im[i])
-    signs *= 2
-    signs -= 1
-    return ProbeBlock(signs, re, im)
+def draw_probes(rngs, cfg: ProtocolConfig, n_bs: int, n_ms: int) -> tuple:
+    """Each generator's (phase a, phase b) blocks: +-1 signs, then real and imaginary noise, of p_bs x (n_bs, n_ms)
+    then p_ms x (m, n_bs). The signs are int8, as a chunk of trials holds its blocks through every variant."""
+    blocks = []
+    for n_probes, n_tx, n_rx in ((cfg.p_bs, n_bs, n_ms), (cfg.p_ms, cfg.m, n_bs)):
+        signs = np.empty((len(rngs), n_probes, n_tx), dtype=np.int8)
+        re = np.empty((len(rngs), n_probes, n_rx))
+        im = np.empty_like(re)
+        for i, gen in enumerate(rngs):  # drawn in place: stacking drawn blocks costs as much again
+            signs[i] = gen.integers(0, 2, size=(n_probes, n_tx))
+            gen.standard_normal(out=re[i])
+            gen.standard_normal(out=im[i])
+        signs *= 2
+        signs -= 1
+        blocks.append(ProbeBlock(signs, re, im))
+    return tuple(blocks)
 
 
-def _received(link, n_probes, cfg: ProtocolConfig, sigma2_n, block) -> np.ndarray:
+def _received(link, n_probes, sigma2_n, block: ProbeBlock, power) -> np.ndarray:
     """The rows R = sqrt(rho) S link^T + sqrt(sigma2/2) N from probing link (n_rx x n_tx) with block's
-    signs S and noise N. block is a drawn ProbeBlock of a stack of streams, only read, each stream with
-    its own cfg.tx_power_scale and a link of its own or broadcast; or one Generator, which draws one
-    stream's block now."""
-    if isinstance(block, np.random.Generator):
-        if link.ndim > 2 or np.ndim(cfg.tx_power_scale) > 0:
-            raise ValueError("one Generator probes one stream: draw a stack's blocks with draw_probes")
-        n_rx, n_tx = link.shape[-2:]
-        block = ProbeBlock(*(a[0] for a in draw_probes([block], n_probes, n_tx, n_rx)))
+    signs S and noise N at power rho. block is a drawn ProbeBlock of a stack of streams, only read;
+    each stream has a link of its own or a broadcast one, and power is one scalar or one per stream."""
+    power = np.asarray(power, dtype=float)
+    if not np.all(np.isfinite(power) & (power > 0)):
+        raise ValueError("power must be finite and > 0")
     if block.signs.shape[-2] != n_probes:
         raise ValueError(f"probe block has {block.signs.shape[-2]} probes, expected {n_probes}")
     # S is real, so S link^T is one real product on the interleaved real and
     # imaginary parts of link^T, and the noise adds to those parts in place
     link_t = np.ascontiguousarray(np.swapaxes(link, -1, -2)).view(np.float64)
     parts = np.matmul(block.signs, link_t)
-    parts *= np.sqrt(np.asarray(cfg.tx_power_scale, dtype=float))[..., None, None]
+    parts *= np.sqrt(power)[..., None, None]
     # the noise is scaled into one reused buffer one slice at a time, a slice being the last
     # three axes (a chunk trial's streams), so that no temporary as large as the block is made
     real, imag = parts[..., 0::2], parts[..., 1::2]
@@ -190,56 +186,51 @@ def _combiners(cfg: ProtocolConfig, front: HybridFrontEnd | None):
     return front.d_ms_rf, front.d_bs_rf
 
 
-def run_phase_a(chan: ChannelRealization, cfg, front: HybridFrontEnd | None, sigma2_n: float, rng):
-    """Downlink probing; returns the tracked left-subspace basis.
-
-    rng is one Generator (one stream) or a drawn ProbeBlock of a stack of
-    streams, whose basis gains the stack's leading axes; chan.h may then carry
-    leading axes that broadcast against them. Full antenna dimension in FD
-    mode, RF-chain dimension in hybrid mode. A tuple of configs that differ only
-    in mode and tracker gives a tuple of bases, the rows warm-started once per mode.
-    """
+def run_phase_a(chan: ChannelRealization, cfg, front: HybridFrontEnd | None, sigma2_n: float,
+                block: ProbeBlock, power=1.0):
+    """Downlink probing with phase (a)'s drawn block at power, a scalar or one per stream; returns
+    the tracked left-subspace basis, with the block's leading (stream) axes, against which chan.h's
+    broadcast. Full antenna dimension in FD mode, RF-chain dimension in hybrid mode. A tuple of configs
+    that differ only in mode and tracker gives a tuple of bases, the rows warm-started once per mode."""
     cfgs = cfg if isinstance(cfg, tuple) else (cfg,)
     if any(replace(c, mode=cfgs[0].mode, tracker=cfgs[0].tracker) != cfgs[0] for c in cfgs[1:]):
         raise ValueError("configs probed together may differ only in mode and tracker")
-    r = _received(chan.h, cfgs[0].p_bs, cfgs[0], sigma2_n, rng)
+    r = _received(chan.h, cfgs[0].p_bs, sigma2_n, block, power)
     modes = {c.mode: c for c in cfgs}  # a warm start reads nothing else in which they differ
     starts = {mode: _warm_start(r, _combiners(c, front)[0], c) for mode, c in modes.items()}
     bases = tuple(_track(*starts[c.mode], c) for c in cfgs)
     return bases if isinstance(cfg, tuple) else bases[0]
 
 
-def run_phase_b(chan: ChannelRealization, d_ms: np.ndarray, cfg: ProtocolConfig,
-                front: HybridFrontEnd | None, sigma2_n: float, rng) -> np.ndarray:
-    """Uplink probing through the estimated precoder d_ms; returns the tracked right basis.
-
-    rng and chan.h as in run_phase_a; with a ProbeBlock, d_ms may be a (..., n_ms, m) stack.
-    """
+def run_phase_b(chan: ChannelRealization, d_ms: np.ndarray, cfg: ProtocolConfig, front: HybridFrontEnd | None,
+                sigma2_n: float, block: ProbeBlock, power=1.0) -> np.ndarray:
+    """Uplink probing through the estimated precoder d_ms, a (..., n_ms, m) stack, with phase (b)'s
+    drawn block; returns the tracked right basis. block, power and chan.h as in run_phase_a."""
     n_ms, n_bs = chan.h.shape[-2:]
     if d_ms.shape[-2:] != (n_ms, cfg.m):
         raise ValueError(f"d_ms has shape {d_ms.shape}, expected ({n_ms}, {cfg.m})")
-    r = _received(chan.h.conj().mT @ d_ms, cfg.p_ms, cfg, sigma2_n, rng)
+    r = _received(chan.h.conj().mT @ d_ms, cfg.p_ms, sigma2_n, block, power)
     return _track(*_warm_start(r, _combiners(cfg, front)[1], cfg), cfg)
 
 
-def run_protocol(chan: ChannelRealization, cfg, front: HybridFrontEnd | None, sigma2_n: float, rng):
+def run_protocol(chan: ChannelRealization, cfg, front: HybridFrontEnd | None, sigma2_n: float, probes, power=1.0):
     """Run both phases and return unit-column beamformers; hybrid mode needs a front end.
 
-    rng is one Generator, which draws phase (a)'s block and then phase (b)'s
-    for one stream, or a pair of drawn ProbeBlocks (phase a, phase b) of a
-    stack of streams with one cfg.tx_power_scale value per stream: the streams
-    run stacked and every beamformer gains the stack's leading axes. chan.h
-    may carry leading axes too, which broadcast against the stack's. A tuple of
+    probes is one Generator, from which draw_probes draws one stream's blocks, or the (phase a,
+    phase b) blocks that draw_probes drew for a stack of streams, each stream at its own power:
+    every beamformer gains the stack's leading axes, against which chan.h's broadcast. A tuple of
     configs, as in run_phase_a, shares phase (a) and gives a tuple of beamformers.
     """
     cfgs = cfg if isinstance(cfg, tuple) else (cfg,)
-    if isinstance(rng, np.random.Generator) and len(cfgs) > 1:
-        raise ValueError("configs probed together share drawn ProbeBlocks, not one Generator")
-    rng_a, rng_b = (rng, rng) if isinstance(rng, np.random.Generator) else rng
+    if isinstance(probes, np.random.Generator):
+        if chan.h.ndim > 2 or np.ndim(power) > 0:
+            raise ValueError("one Generator probes one stream: draw a stack's blocks with draw_probes")
+        n_ms, n_bs = chan.h.shape
+        probes = [ProbeBlock(*(a[0] for a in block)) for block in draw_probes([probes], cfgs[0], n_bs, n_ms)]
     beams = []
-    for c, basis in zip(cfgs, run_phase_a(chan, cfgs, front, sigma2_n, rng_a)):
+    for c, basis in zip(cfgs, run_phase_a(chan, cfgs, front, sigma2_n, probes[0], power)):
         d_ms_rf, d_bs_rf = _combiners(c, front)
         d_ms = _lift_and_normalize(d_ms_rf, basis)
-        d_bs = _lift_and_normalize(d_bs_rf, run_phase_b(chan, d_ms, c, front, sigma2_n, rng_b))
+        d_bs = _lift_and_normalize(d_bs_rf, run_phase_b(chan, d_ms, c, front, sigma2_n, probes[1], power))
         beams.append(EstimatedBeamformers(d_ms=d_ms, d_bs=d_bs))
     return tuple(beams) if isinstance(cfg, tuple) else beams[0]

@@ -123,8 +123,8 @@ def trial_records(cfg, t) -> dict:
     for si, snr_db in enumerate(cfg.snr_grid_db):
         seq = np.random.SeedSequence(cfg.master_seed, spawn_key=(1, si, t))
         rng = np.random.default_rng(seq)
-        block_a = ProbeBlock(*(a[0] for a in draw_probes([rng], cfg.p_bs, n_bs, n_ms)))
-        block_b = ProbeBlock(*(a[0] for a in draw_probes([rng], cfg.p_ms, m, n_bs)))
+        drawn = draw_probes([rng], cfg.protocol, n_bs, n_ms)
+        block_a, block_b = (ProbeBlock(*(a[0] for a in block)) for block in drawn)
         noise = dpsk_noise([rng], cfg.n_data_symbols)[0] if m == 1 else None
         p_t = 10.0 ** (snr_db / 10.0) * n_ms * NOISE_VARIANCE / h2
         for name in cfg.variants:

@@ -111,6 +111,14 @@ class TestLoadConfig:
         cfg = load_config("n_clusters = 3\nrays_per_cluster = 4\n")
         assert cfg.channel.rays_per_cluster == (4, 4, 4)
 
+    def test_list_entries_parse_like_scalar_keys(self):
+        # each entry of a list takes its scalar key's rule: int(s, 0), float, or the string as it is
+        cfg = load_config("n_clusters = 0x3\nrays_per_cluster = 0x3, 0b10, 4\nsnr_grid_db = 1e1, -5\n")
+        assert cfg.channel.rays_per_cluster == (3, 2, 4) and cfg.snr_grid_db == (10.0, -5.0)
+        assert load_config("rays_per_cluster = 0x3\n").channel.rays_per_cluster == (3,) * 5
+        with pytest.raises(ConfigError, match="rays_per_cluster: cannot parse '3.5'"):
+            load_config("rays_per_cluster = 3.5\n")
+
     def test_paper_setup_round_trips_to_same_digest(self):
         cfg = load_config(PAPER_SETUP)
         again = load_config(resolved_text(cfg))
@@ -210,8 +218,8 @@ class TestRunExperiment:
     def test_bad_beam_names_its_own_stream(self, monkeypatch, n_trials, entries, value, fault):
         real = harness.run_protocol
 
-        def bad_second_stream(chan, cfgs, front, sigma2, rngs):
-            beams = real(chan, cfgs, front, sigma2, rngs)  # one per tracker variant, in config order
+        def bad_second_stream(chan, cfgs, front, sigma2, rngs, power):
+            beams = real(chan, cfgs, front, sigma2, rngs, power)  # one per tracker variant, in config order
             beams[0].d_ms[entries] = value  # pastd-fd's
             return beams
 
@@ -449,9 +457,7 @@ class TestChunks:
     def trial_bytes(cfg) -> int:
         """One trial's drawn ProbeBlocks, in bytes, measured on the blocks draw_probes returns."""
         rngs = [np.random.default_rng(0) for _ in cfg.snr_grid_db]
-        p = cfg.protocol
-        return sum(a.nbytes for n_probes, n_tx, n_rx in ((p.p_bs, cfg.n_bs, cfg.n_ms), (p.p_ms, p.m, cfg.n_bs))
-                   for a in protocol.draw_probes(rngs, n_probes, n_tx, n_rx))
+        return sum(a.nbytes for block in protocol.draw_probes(rngs, cfg.protocol, cfg.n_bs, cfg.n_ms) for a in block)
 
     def test_every_trial_lands_in_exactly_one_chunk_in_order(self):
         for text in (SMALL, REDUCED_2W, PAPER_SETUP):
@@ -707,6 +713,13 @@ class TestCli:
             # 10^(x/10) is not 0, but p_t = 10^(x/10) n_ms sigma^2 underflows to 0 before the division
             ("n_bs = 16\nn_ms = 8\nn_rf_bs = 8\nn_rf_ms = 4\nn_trials = 1\nsnr_grid_db = -3150\n", "snr_grid_db"),
             ("warmup = 0\n", "warmup"),
+            # a check of a model object names the key its field was built from
+            ("pastd_beta = 2\n", "pastd_beta"),
+            ("ooja_delta = -1\n", "ooja_delta"),
+            ("n_bs = 0\n", "n_bs"),
+            ("n_ms = 0\n", "n_ms"),
+            ("element_spacing_wl = -1\n", "element_spacing_wl"),
+            ("multiplexing_order = 0\n", "multiplexing_order"),
         ],
     )
     def test_validate_rejects_setup_errors(self, tmp_path, capsys, text, key):
@@ -721,6 +734,15 @@ class TestCli:
         argv = ["simulate", "--config", str(path), "--out", str(tmp_path / "out"), "--seed", "-5"]
         assert cli_main(argv) == 2
         assert "master_seed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_is_a_config_error(self, tmp_path, capsys, threads):
+        path = tmp_path / "cfg.txt"
+        path.write_text(ONE_TRIAL)
+        argv = ["simulate", "--config", str(path), "--out", str(tmp_path / "out"), "--threads", threads]
+        assert cli_main(argv) == 2
+        assert "--threads" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_config_path_containing_equals_sign(self, tmp_path, capsys):

@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from mmwtrack import protocol
+from mmwtrack.protocol import ProbeBlock
 from mmwtrack import (
     ArrayConfig,
     RayParams,
@@ -32,6 +34,12 @@ def small_cfg(**kw):
     return ProtocolConfig(**defaults)
 
 
+def one_stream(cfg, seed, n_bs=16, n_ms=8):
+    """One stream's drawn (phase a, phase b) blocks, from default_rng(seed)."""
+    drawn = protocol.draw_probes([np.random.default_rng(seed)], cfg, n_bs, n_ms)
+    return [ProbeBlock(*(a[0] for a in block)) for block in drawn]
+
+
 class TestRfGrid:
     def test_single_column_at_edge(self):
         grid = build_rf_grid(ArrayConfig(4), 1)
@@ -58,12 +66,12 @@ class TestPhaseA:
     def test_noiseless_rank1_exact(self):
         chan = rank1_channel()
         cfg = small_cfg()
-        d_ms = run_phase_a(chan, cfg, None, 0.0, np.random.default_rng(0))
+        d_ms = run_phase_a(chan, cfg, None, 0.0, one_stream(cfg, 0)[0])
         assert normalized_correlation(d_ms[:, 0], chan.u[:, 0]) >= 0.999
 
     def test_zero_channel_fallback_frame(self):
         chan = assemble_channel(ArrayConfig(16), ArrayConfig(8), (), gamma=1.0)
-        d_ms = run_phase_a(chan, small_cfg(m=2), None, 0.0, np.random.default_rng(0))
+        d_ms = run_phase_a(chan, small_cfg(m=2), None, 0.0, one_stream(small_cfg(m=2), 0)[0])
         assert d_ms.shape == (8, 2)
         np.testing.assert_allclose(np.linalg.norm(d_ms, axis=0), 1.0, atol=1e-12)
 
@@ -71,12 +79,12 @@ class TestPhaseA:
         chan = rank1_channel()
         cfg = small_cfg(mode="hy")
         front = make_front_end(ArrayConfig(16), ArrayConfig(8), cfg)
-        d_bb = run_phase_a(chan, cfg, front, 0.0, np.random.default_rng(0))
+        d_bb = run_phase_a(chan, cfg, front, 0.0, one_stream(cfg, 0)[0])
         assert d_bb.shape == (cfg.n_rf_ms, 1)
 
     def test_hybrid_requires_front_end(self):
         with pytest.raises(ValueError):
-            run_phase_a(rank1_channel(), small_cfg(mode="hy"), None, 0.0, np.random.default_rng(0))
+            run_phase_a(rank1_channel(), small_cfg(mode="hy"), None, 0.0, one_stream(small_cfg(), 0)[0])
         with pytest.raises(ValueError, match="HybridFrontEnd"):
             run_protocol(rank1_channel(), small_cfg(mode="hy"), None, 0.0, np.random.default_rng(0))
 
@@ -84,7 +92,7 @@ class TestPhaseA:
 class TestPhaseB:
     def test_noiseless_rank1_with_exact_precoder(self):
         chan = rank1_channel()
-        d_bs = run_phase_b(chan, chan.u[:, :1], small_cfg(), None, 0.0, np.random.default_rng(1))
+        d_bs = run_phase_b(chan, chan.u[:, :1], small_cfg(), None, 0.0, one_stream(small_cfg(), 1)[1])
         assert normalized_correlation(d_bs[:, 0], chan.v[:, 0]) >= 0.999
 
     def test_orthogonal_precoder_degenerates_cleanly(self):
@@ -95,17 +103,19 @@ class TestPhaseB:
         e[0] = 1.0
         d_perp = e - u * np.vdot(u, e)
         d_perp = (d_perp / np.linalg.norm(d_perp))[:, None]
-        d_bs = run_phase_b(chan, d_perp, small_cfg(), None, 0.0, np.random.default_rng(1))
+        d_bs = run_phase_b(chan, d_perp, small_cfg(), None, 0.0, one_stream(small_cfg(), 1)[1])
         assert d_bs.shape == (16, 1)
         assert np.all(np.isfinite(d_bs))
 
     def test_dimension_check(self):
         chan = rank1_channel()
         with pytest.raises(ValueError):
-            run_phase_b(chan, np.ones((5, 1)), small_cfg(), None, 0.0, np.random.default_rng(0))
+            run_phase_b(chan, np.ones((5, 1)), small_cfg(), None, 0.0, one_stream(small_cfg(), 0)[1])
 
 
-class TestEffectiveChannel:
+class TestGridBeamspace:
+    """The front end's grid combiners see an on-grid channel in one beamspace entry."""
+
     def test_rank1_on_grid_peaks_at_matching_beam(self):
         cfg = small_cfg(mode="hy")
         bs, ms = ArrayConfig(64), ArrayConfig(32)
@@ -118,7 +128,9 @@ class TestEffectiveChannel:
         assert np.unravel_index(np.argmax(h_eff), h_eff.shape) == (i_ms, i_bs)
 
 
-class TestComposeHybrid:
+class TestHybridBeams:
+    """A hybrid beam is the unit-norm lift D_RF d_bb / ||D_RF d_bb|| of its baseband beam."""
+
     def test_canonical_baseband_selects_grid_column(self):
         cfg = small_cfg(mode="hy")
         front = make_front_end(ArrayConfig(16), ArrayConfig(8), cfg)
@@ -194,10 +206,11 @@ class TestRunProtocol:
         for seed in range(40):
             chan = rank1_channel(gain=rng.standard_normal() + 1j * rng.standard_normal())
             cfg = small_cfg()
-            d_ms_est = run_phase_a(chan, cfg, None, sigma2, np.random.default_rng(100 + seed))
+            d_ms_est = run_phase_a(chan, cfg, None, sigma2, one_stream(cfg, 100 + seed)[0])
             d_ms_est /= np.linalg.norm(d_ms_est, axis=0)
-            d_bs_t = run_phase_b(chan, d_ms_est, cfg, None, sigma2, np.random.default_rng(200 + seed))
-            d_bs_o = run_phase_b(chan, chan.u[:, :1], cfg, None, sigma2, np.random.default_rng(200 + seed))
+            block_b = one_stream(cfg, 200 + seed)[1]  # both precoders probe with the same draws
+            d_bs_t = run_phase_b(chan, d_ms_est, cfg, None, sigma2, block_b)
+            d_bs_o = run_phase_b(chan, chan.u[:, :1], cfg, None, sigma2, block_b)
             tracked_scores.append(normalized_correlation(d_bs_t[:, 0], chan.v[:, 0]))
             oracle_scores.append(normalized_correlation(d_bs_o[:, 0], chan.v[:, 0]))
         assert np.mean(oracle_scores) >= np.mean(tracked_scores)
@@ -232,20 +245,21 @@ class TestRunProtocol:
 
     @pytest.mark.parametrize("scale", [0.0, math.inf, (1.0, math.nan)])
     def test_power_scale_must_be_finite_and_positive(self, scale):
-        with pytest.raises(ValueError, match="tx_power_scale must be finite and > 0"):
-            small_cfg(tx_power_scale=scale)
+        blocks = protocol.draw_probes([np.random.default_rng(i) for i in range(2)], small_cfg(), 16, 8)
+        with pytest.raises(ValueError, match="power must be finite and > 0"):
+            run_protocol(rank1_channel(), small_cfg(), None, 0.1, blocks, power=scale)
 
     def test_one_generator_rejects_stacked_powers(self):
-        # one Generator draws one stream's block; a stack's blocks come from draw_probes
-        cfg = small_cfg(tx_power_scale=(0.5, 1.0, 2.0))
+        # one Generator draws one stream's blocks; a stack's blocks come from draw_probes
         with pytest.raises(ValueError, match="draw_probes"):
-            run_protocol(rank1_channel(), cfg, None, 0.3, np.random.default_rng(0))
+            run_protocol(rank1_channel(), small_cfg(), None, 0.3, np.random.default_rng(0), power=(0.5, 1.0, 2.0))
 
     def test_one_generator_rejects_stacked_precoders(self):
-        # three precoders are three streams, and each needs its own probe block
-        d_ms = np.full((3, 8, 1), 1.0 / math.sqrt(8), dtype=complex)
+        # three channels give three precoders, three streams, and each needs its own probe blocks
+        chan = rank1_channel()
+        stack = replace(chan, h=np.stack([chan.h] * 3))
         with pytest.raises(ValueError, match="draw_probes"):
-            run_phase_b(rank1_channel(), d_ms, small_cfg(), None, 0.3, np.random.default_rng(0))
+            run_protocol(stack, small_cfg(), None, 0.3, np.random.default_rng(0))
 
 
 class TestProbingContract:
@@ -260,25 +274,29 @@ class TestProbingContract:
         return math.sqrt(self.RHO) * (s @ link.T) + math.sqrt(self.SIGMA2 / 2.0) * (re + 1j * im)
 
     def test_fd_streams_follow_the_documented_draw_order(self, monkeypatch):
+        # one Generator draws phase (a)'s block, then phase (b)'s, and runs as those blocks drawn first
         chan = rank1_channel()
-        cfg = small_cfg(tx_power_scale=self.RHO, p_ms=25)
-        d_ms = chan.u[:, :1]
+        cfg = small_cfg(p_ms=25)
         streams = capture_streams(monkeypatch)
-        run_phase_a(chan, cfg, None, self.SIGMA2, np.random.default_rng(self.SEED))
-        run_phase_b(chan, d_ms, cfg, None, self.SIGMA2, np.random.default_rng(self.SEED))
-        phase_a = self.expected_stream(chan.h, 30, np.random.default_rng(self.SEED))
-        phase_b = self.expected_stream(chan.h.conj().T @ d_ms, 25, np.random.default_rng(self.SEED))
+        beams = run_protocol(chan, cfg, None, self.SIGMA2, np.random.default_rng(self.SEED), power=self.RHO)
+        drawn = run_protocol(chan, cfg, None, self.SIGMA2, one_stream(cfg, self.SEED), power=self.RHO)
+        assert beams.d_ms.tobytes() == drawn.d_ms.tobytes() and beams.d_bs.tobytes() == drawn.d_bs.tobytes()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(streams[:2], streams[2:], strict=True))
+        rng = np.random.default_rng(self.SEED)
+        phase_a = self.expected_stream(chan.h, 30, rng)
+        phase_b = self.expected_stream(chan.h.conj().T @ beams.d_ms, 25, rng)
         np.testing.assert_allclose(streams[0], phase_a, rtol=1e-12)
         np.testing.assert_allclose(streams[1], phase_b, rtol=1e-12)
 
     def test_hybrid_stream_is_fd_stream_behind_the_combiner(self, monkeypatch):
         chan = rank1_channel()
-        fd = small_cfg(tx_power_scale=self.RHO)
-        hy = small_cfg(tx_power_scale=self.RHO, mode="hy")
+        fd = small_cfg()
+        hy = small_cfg(mode="hy")
         front = make_front_end(ArrayConfig(16), ArrayConfig(8), hy)
+        block_a = one_stream(fd, self.SEED)[0]
         streams = capture_streams(monkeypatch)
-        run_phase_a(chan, fd, None, self.SIGMA2, np.random.default_rng(self.SEED))
-        run_phase_a(chan, hy, front, self.SIGMA2, np.random.default_rng(self.SEED))
+        run_phase_a(chan, fd, None, self.SIGMA2, block_a, self.RHO)
+        run_phase_a(chan, hy, front, self.SIGMA2, block_a, self.RHO)
         assert streams[1].shape == (30, hy.n_rf_ms)
         np.testing.assert_allclose(streams[1], streams[0] @ front.d_ms_rf.conj(), rtol=1e-12)
 
@@ -311,17 +329,10 @@ class TestStackedStreams:
         front = make_front_end(ArrayConfig(16), ArrayConfig(8), cfg) if mode == "hy" else None
         seeds = range(20, 27)
         rngs = [np.random.default_rng(seed) for seed in seeds]
-        stacked = run_protocol(
-            chan,
-            small_cfg(mode=mode, m=m, tracker=cfg.tracker, tx_power_scale=self.POWERS),
-            front,
-            0.3,
-            (protocol.draw_probes(rngs, 30, 16, 8), protocol.draw_probes(rngs, 30, m, 16)),
-        )
+        stacked = run_protocol(chan, cfg, front, 0.3, protocol.draw_probes(rngs, cfg, 16, 8), self.POWERS)
         assert stacked.d_ms.shape == (7, 8, m) and stacked.d_bs.shape == (7, 16, m)
         for i, (seed, rho) in enumerate(zip(seeds, self.POWERS)):
-            single_cfg = small_cfg(mode=mode, m=m, tracker=cfg.tracker, tx_power_scale=rho)
-            one = run_protocol(chan, single_cfg, front, 0.3, np.random.default_rng(seed))
+            one = run_protocol(chan, cfg, front, 0.3, np.random.default_rng(seed), rho)
             np.testing.assert_allclose(stacked.d_ms[i], one.d_ms, rtol=1e-12, atol=1e-14)
             np.testing.assert_allclose(stacked.d_bs[i], one.d_bs, rtol=1e-12, atol=1e-14)
 
@@ -331,20 +342,19 @@ class TestStackedStreams:
     def test_drawn_blocks_equal_the_generators(self, kind, mode, m):
         # drawn blocks are the only stacked input form; running on them leaves them as drawn
         chan = self.three_ray_channel()
-        cfg = small_cfg(mode=mode, m=m, tracker=TrackerSpec(kind=kind, delta=0.3),
-                        p_ms=25, tx_power_scale=self.POWERS)
+        cfg = small_cfg(mode=mode, m=m, tracker=TrackerSpec(kind=kind, delta=0.3), p_ms=25)
         front = make_front_end(ArrayConfig(16), ArrayConfig(8), cfg) if mode == "hy" else None
         seeds = range(40, 47)
         drawn = [np.random.default_rng(seed) for seed in seeds]
-        blocks = (protocol.draw_probes(drawn, 30, 16, 8), protocol.draw_probes(drawn, 25, m, 16))
+        blocks = protocol.draw_probes(drawn, cfg, 16, 8)
         before = [a.copy() for block in blocks for a in block]
-        from_blocks = run_protocol(chan, cfg, front, 0.3, blocks)
+        from_blocks = run_protocol(chan, cfg, front, 0.3, blocks, self.POWERS)
         assert from_blocks.d_ms.shape == (7, 8, m) and from_blocks.d_bs.shape == (7, 16, m)
         after = [a for block in blocks for a in block]
         assert all(np.array_equal(x, y) for x, y in zip(before, after))  # the blocks are only read
 
     def test_block_with_the_wrong_probe_count_rejected(self):
         chan = rank1_channel()
-        block = protocol.draw_probes([np.random.default_rng(0)], 20, 16, 8)
+        block, _ = protocol.draw_probes([np.random.default_rng(0)], small_cfg(p_bs=20), 16, 8)
         with pytest.raises(ValueError, match="20 probes, expected 30"):
             run_phase_a(chan, small_cfg(), None, 0.1, block)

@@ -6,10 +6,12 @@ on one worker. A change that must keep every record's bytes keeps this table.
 Outputs go to a temporary directory that is removed afterwards.
 
 With ``--against DIR``, each run is repeated in a subprocess on the ``src/``
-of the checkout at DIR, and the table adds, per run, the largest |delta| of
-each numeric column of records.csv and whether the rows' (trial, variant,
-snr_db, seed) keys match in order. A change that moves numbers at rounding
-level reports them from this table.
+of the checkout at DIR, and the table adds, per run, that checkout's digests,
+the largest |delta| of each numeric column of records.csv and whether the rows'
+(trial, variant, snr_db, seed) keys match in order; a last line gives both
+checkouts' ``src/mmwtrack/*.py`` line totals, as ``wc -l`` counts them. A
+change that keeps bytes shows equal digests, and one that moves numbers at
+rounding level reports them from this table.
 
     python tools/record_hashes.py
     python tools/record_hashes.py --against ../parent-checkout
@@ -54,17 +56,26 @@ def small_config() -> str:
     raise LookupError("tests/test_harness.py defines no SMALL")
 
 
-def digests(config_text: str, workers: int, out: Path) -> tuple:
+def digests(out: Path) -> str:
+    """The records.csv / aggregates.csv digests of a run written to out, as one table cell."""
+    return " / ".join(f"`{hashlib.sha256((out / name).read_bytes()).hexdigest()[:16]}`"
+                      for name in ("records.csv", "aggregates.csv"))
+
+
+def run_here(config_text: str, workers: int, out: Path) -> None:
     cfg = mmwtrack.load_config(config_text)
     mmwtrack.emit_csv(mmwtrack.run_experiment(cfg, workers=workers), out)
-    return tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()[:16]
-                 for name in ("records.csv", "aggregates.csv"))
 
 
 def run_against(checkout: Path, config_text: str, workers: int, out: Path) -> None:
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     subprocess.run([sys.executable, "-c", RUN_ELSEWHERE, str(out), str(workers)], input=config_text,
                    text=True, env=env, check=True, cwd=checkout)
+
+
+def src_lines(checkout: Path) -> int:
+    """The lines of src/mmwtrack/*.py, as wc -l counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in (checkout / "src" / "mmwtrack").glob("*.py"))
 
 
 def compare(ours: Path, theirs: Path) -> list:
@@ -95,16 +106,19 @@ def main(argv=None) -> int:
     runs.append(("SMALL", small_config(), 1))
     header = ["run", "records / aggregates"]
     if args.against:
-        header += [f"max abs delta {col}" for col in NUMERIC] + ["keys match"]
+        header += ["against: records / aggregates"] + [f"max abs delta {col}" for col in NUMERIC] + ["keys match"]
     print("| " + " | ".join(header) + " |\n|" + " --- |" * len(header))
     with tempfile.TemporaryDirectory() as tmp:
         for name, text, workers in runs:
-            records, aggregates = digests(text, workers, Path(tmp) / name)
-            cells = [f"`{name}`", f"`{records}` / `{aggregates}`"]
+            ours, theirs = Path(tmp) / name, Path(tmp) / f"{name}-against"
+            run_here(text, workers, ours)
+            cells = [f"`{name}`", digests(ours)]
             if args.against:
-                run_against(args.against.resolve(), text, workers, Path(tmp) / f"{name}-against")
-                cells += compare(Path(tmp) / name, Path(tmp) / f"{name}-against")
+                run_against(args.against.resolve(), text, workers, theirs)
+                cells += [digests(theirs)] + compare(ours, theirs)
             print("| " + " | ".join(cells) + " |")
+    if args.against:
+        print(f"\nsrc/mmwtrack/*.py lines: {src_lines(args.against.resolve())} against, {src_lines(ROOT)} here")
     return 0
 
 
