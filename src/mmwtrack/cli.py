@@ -55,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run the configured Monte Carlo experiment")
     sim.add_argument("--config", required=True, help="path to the experiment config")
     sim.add_argument("--out", required=True, help="output directory for CSV files")
-    sim.add_argument("--threads", type=int, default=1, help="worker pool width")
+    sim.add_argument("--threads", type=int, default=1, help="worker processes, the calling process among them")
     sim.add_argument("--seed", type=int, default=None, help="override the master seed")
 
     val = sub.add_parser("validate", help="parse and validate a config, then exit")

@@ -6,8 +6,9 @@ SNR indices through numpy SeedSequence spawn keys, so parallel and serial runs
 produce identical results. Channel realizations are keyed on the trial index
 alone, and probes and noise on (SNR index, trial), so every variant of a trial
 sees the same channel, probes and noise (paired comparison). The trials split
-into chunks of consecutive trials, as evenly over the pool as the bytes of a
+into chunks of consecutive trials, as evenly over the workers as the bytes of a
 trial's probe blocks allow (plan_chunks), and no record depends on the split.
+The calling process is worker 0; each other worker is forked for the call.
 Each variant's streams of a chunk are stacked on (trial, SNR point) axes.
 """
 
@@ -19,10 +20,9 @@ import functools
 import glob
 import hashlib
 import math
+import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
-from itertools import repeat
 
 import numpy as np
 
@@ -276,9 +276,10 @@ CHUNK_BYTES = 1_500_000
 
 def plan_chunks(cfg: ExperimentConfig, workers: int) -> tuple:
     """(chunks, width): the trials as k ranges of consecutive trials whose sizes differ by at
-    most one, the first a largest, and the pool width. k is the fewest multiple of the width,
-    capped at n_trials, that keeps every chunk's drawn blocks within CHUNK_BYTES (a trial over it
-    runs alone), so the trials split evenly over the pool. Records do not depend on the plan."""
+    most one, the first a largest, and the number of worker processes, the caller among them.
+    k is the fewest multiple of the width, capped at n_trials, that keeps every chunk's drawn
+    blocks within CHUNK_BYTES (a trial over it runs alone), so the trials split evenly over
+    the workers. Records do not depend on the plan."""
     n = cfg.n_trials
     shapes = draw_probes([], cfg.protocol, cfg.bs.n_elements, cfg.ms.n_elements)  # no stream: the block shapes
     trial_bytes = len(cfg.snr_grid_db) * sum(a.itemsize * math.prod(a.shape[1:]) for b in shapes for a in b)
@@ -385,26 +386,66 @@ def _openblas():
     return None
 
 
+def _share_records(cfg: ExperimentConfig, share: tuple) -> list | tuple:
+    """A worker's chunks in order: their records, or (position in share, exception) at the first that fails."""
+    done = []
+    for trials in share:
+        try:
+            done.append(_chunk_records(cfg, trials))
+        except Exception as exc:  # run_experiment raises the lowest-numbered chunk's error
+            return len(done), exc
+    return done
+
+
+def _send_share(conn, cfg: ExperimentConfig, share: tuple) -> None:
+    """A forked worker: _share_records, sent on its one-way pipe."""
+    conn.send(_share_records(cfg, share))
+
+
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list:
     """All trial records for a config, ordered by (variant, SNR, trial).
 
-    Trials run in the chunks of plan_chunks(cfg, workers), on its pool width;
-    neither the chunks nor the worker count changes a record's bytes. It first
-    sets numpy's bundled OpenBLAS to one thread, leaving any other BLAS alone: a
-    trial's small products gain little from a second thread, which spins between
-    calls, and forked pool workers inherit the count. The caller's process stays
-    on one BLAS thread. Record bytes do not depend on it.
+    Chunk j of plan_chunks(cfg, workers) runs on worker j % width: worker 0 is
+    the caller, and each other is forked once and sends its records on a pipe.
+    No record's bytes depend on the plan or the width. Every fork is joined;
+    then the lowest-numbered failing chunk's error is raised, and a worker that
+    exits without sending fails its first chunk with a RuntimeError naming it,
+    its trials and its exit code. It first sets numpy's bundled OpenBLAS to one
+    thread, and leaves it there (any other BLAS is left alone): a trial's small
+    products gain little from a second thread, which spins between calls, and
+    the forked workers inherit the count. Record bytes do not depend on it.
     """
     lib = _openblas()
     if lib is not None:
         lib.scipy_openblas_set_num_threads64_(1)
-    chunks, workers = plan_chunks(cfg, workers)
-    if workers > 1:  # the pool forks all its workers at the first submit
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(_chunk_records, repeat(cfg), chunks))
-    else:
-        done = [_chunk_records(cfg, trials) for trials in chunks]
-    per_trial = [records for chunk in done for records in chunk]
+    chunks, width = plan_chunks(cfg, workers)
+    shares = [chunks[w::width] for w in range(width)]
+    fork = multiprocessing.get_context("fork")
+    outcomes, forked = [], []  # forked: each forked worker's (read end, process)
+    try:
+        for share in shares[1:]:  # each pipe is made just before its fork, so no other child holds its write end
+            recv, send = fork.Pipe(duplex=False)
+            (child := fork.Process(target=_send_share, args=(send, cfg, share))).start()
+            forked.append((recv, child))
+            send.close()  # the child holds the only write end, so its exit ends the pipe
+        outcomes.append(_share_records(cfg, shares[0]))
+        for w, (recv, child) in enumerate(forked, start=1):
+            try:
+                outcomes.append(recv.recv())
+            except (EOFError, OSError):  # the pipe ended without a whole message
+                child.join()
+                outcomes.append((0, RuntimeError(f"worker {w} (trials {[t for c in shares[w] for t in c]}) "
+                                                 f"exited with code {child.exitcode} before sending its records")))
+    finally:
+        for recv, child in forked:
+            if len(outcomes) < width:  # interrupted before every share came back: the rest is not needed
+                child.kill()
+            child.join()
+            recv.close()
+    failed = [(w + outcome[0] * width, w) for w, outcome in enumerate(outcomes) if isinstance(outcome, tuple)]
+    if failed:
+        raise outcomes[min(failed)[1]][1]
+    per_trial = [records for j in range(len(chunks)) for records in outcomes[j % width][j // width]]
     # each trial lists its records in (variant, SNR) order: the k-th of every trial, in trial order
     return [rec for same_k in zip(*per_trial) for rec in same_k]
 

@@ -1,7 +1,10 @@
 import math
+import multiprocessing
 import os
 import platform
 import random
+import signal
+import time
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -312,33 +315,72 @@ class TestRunExperiment:
         assert run_experiment(cfg) == run_experiment(cfg)
 
     def test_parallel_matches_serial(self):
-        cfg = load_config(SEVEN_TRIALS)  # one chunk of 7 trials, then chunks of 4 and 3 on a pool
+        cfg = load_config(SEVEN_TRIALS)  # one chunk of 7 trials, then chunks of 4 and 3 on 2 workers
         assert run_experiment(cfg, workers=1) == run_experiment(cfg, workers=2)
+        assert multiprocessing.active_children() == []
 
     def test_workers_are_capped_at_the_trial_count(self, monkeypatch):
-        # a real pool forks all of max_workers at its first submit; this stand-in forks none
-        sizes = []
-
-        class InProcessPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def map(self, fn, *iterables, chunksize=1):
-                return map(fn, *iterables)
-
         cfg = load_config(SEVEN_TRIALS)  # on 64 workers: 7 chunks of one trial
-        serial = run_experiment(cfg)
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
-        assert run_experiment(cfg, workers=64) == serial
-        assert sizes == [7]  # one worker per trial
-        run_experiment(load_config(ONE_TRIAL), workers=8)  # one trial runs serially, with no pool
-        assert sizes == [7]
+        assert run_experiment(cfg, workers=64) == run_experiment(cfg)
+        monkeypatch.setattr(harness, "_chunk_records", report_pid)
+        pids = run_experiment(cfg, workers=64)  # chunk j's pid, in chunk order
+        assert len(set(pids)) == 7 and pids[0] == os.getpid()  # one worker per trial, chunk 0 in the caller
+        assert run_experiment(load_config(ONE_TRIAL), workers=8) == [os.getpid()]  # one trial forks nothing
+
+    @pytest.mark.parametrize("width", [2, 3])
+    def test_the_lowest_numbered_failing_chunk_is_raised(self, monkeypatch, width):
+        # chunks of 2 trials: 0-1, 2-3, 4-5, 6. Chunk 1 runs on worker 1 and fails last; the later
+        # chunks fail at once, in the caller (chunk 2 at width 2, chunk 3 at width 3) and in worker 2
+        def fail_from_chunk_1(cfg, trials):
+            if trials.start == 0:
+                return [[None]] * len(trials)
+            time.sleep(0.2 if trials.start == 2 else 0.0)
+            raise ValueError(f"trial {trials.start}: injected failure")
+
+        monkeypatch.setattr(harness, "plan_chunks", fixed_chunks(2))
+        monkeypatch.setattr(harness, "_chunk_records", fail_from_chunk_1)
+        with pytest.raises(ValueError, match=r"^trial 2: injected failure$"):
+            run_experiment(load_config(SEVEN_TRIALS), workers=width)
+        assert multiprocessing.active_children() == []
+
+    def test_a_worker_that_exits_without_sending_is_named(self, monkeypatch):
+        caller, real = os.getpid(), harness._chunk_records
+
+        def exit_in_a_child(cfg, trials):
+            if os.getpid() != caller:
+                os._exit(3)
+            return real(cfg, trials)
+
+        monkeypatch.setattr(harness, "_chunk_records", exit_in_a_child)
+        message = r"^worker 1 \(trials \[4, 5, 6\]\) exited with code 3 before sending its records$"
+        with pytest.raises(RuntimeError, match=message):
+            run_experiment(load_config(SEVEN_TRIALS), workers=2)  # chunks of 4 and 3
+        assert multiprocessing.active_children() == []
+
+    def test_an_interrupted_caller_stops_and_joins_its_workers(self, monkeypatch):
+        # the worker's records overflow the pipe's buffer, and the caller never reads them
+        caller = os.getpid()
+
+        def interrupt_the_caller(cfg, trials):
+            if os.getpid() == caller:
+                raise KeyboardInterrupt
+            return [[bytes(1 << 20)]]
+
+        def hung(signum, frame):  # not an OSError, which multiprocessing's waitpid loop swallows
+            for child in multiprocessing.active_children():
+                child.kill()
+            pytest.fail("run_experiment did not return")
+
+        monkeypatch.setattr(harness, "_chunk_records", interrupt_the_caller)
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(20)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                run_experiment(load_config(SEVEN_TRIALS), workers=2)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert multiprocessing.active_children() == []
 
     def test_single_warmup_sample_below_multiplexing_order(self):
         # one warm-up sample spans rank 1, so the second column is a completion
@@ -507,11 +549,14 @@ class TestChunks:
     @pytest.mark.parametrize("text, workers, planned", [
         (SEVEN_TRIALS, 1, 7),
         (SEVEN_TRIALS, 2, 4),
+        (SEVEN_TRIALS, 3, 3),  # chunks of 3, 2, 2 on 3 workers
         (PAPER_SETUP + "n_trials = 7\nn_data_symbols = 200\n", 1, 3),
         (PAPER_SETUP + "n_trials = 7\nn_data_symbols = 200\n", 2, 2),
+        (PAPER_SETUP + "n_trials = 7\nn_data_symbols = 200\n", 3, 3),  # chunks of 3, 2, 2 on 3 workers
         (PAPER_SETUP + "n_trials = 7\nmultiplexing_order = 2\n", 1, 3),
         (PAPER_SETUP + "n_trials = 7\nmultiplexing_order = 2\n", 2, 2),
-    ], ids=["reduced", "reduced-2-workers", "paper", "paper-2-workers", "paper-m2", "paper-m2-2-workers"])
+    ], ids=["reduced", "reduced-2-workers", "reduced-3-workers", "paper", "paper-2-workers", "paper-3-workers",
+         "paper-m2", "paper-m2-2-workers"])
     def test_one_trial_chunks_give_the_same_bytes(self, monkeypatch, tmp_path, text, workers, planned):
         cfg = load_config(text)  # 7 trials
         assert len(harness.plan_chunks(cfg, workers)[0][0]) == planned
@@ -853,6 +898,11 @@ class TestCli:
             assert (out2 / name).read_bytes() == (out3 / name).read_bytes()
 
 
+def report_pid(cfg, trials):
+    """Stands in for harness._chunk_records: the process the chunk ran in, as the one record of one trial."""
+    return [[os.getpid()]]
+
+
 def report_blas_threads(cfg, trials):
     """Stands in for harness._chunk_records: where the chunk ran and on how many BLAS threads,
     as the one record of one trial."""
@@ -872,10 +922,10 @@ class TestOneBlasThread:
         lib.scipy_openblas_set_num_threads64_(1)  # where run_experiment leaves the process
 
     def test_pool_workers_run_on_one_thread(self, openblas, monkeypatch):
-        # pool.map pickles the function by name, and the forked worker finds the patched one
+        # the forked worker inherits the patched module attribute
         monkeypatch.setattr(harness, "_chunk_records", report_blas_threads)
         reports = run_experiment(load_config(SEVEN_TRIALS), workers=2)  # chunks of 4 and 3
-        assert len(reports) == 2 and os.getpid() not in {pid for pid, _ in reports}
+        assert len(reports) == 2 and reports[0][0] == os.getpid() != reports[1][0]  # the caller, then a child
         assert {threads for _, threads in reports} == {1}
 
     def test_serial_run_leaves_the_caller_on_one_thread(self, openblas):
