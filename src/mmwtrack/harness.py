@@ -5,11 +5,9 @@ names. Per-trial randomness is derived from the master seed and the trial and
 SNR indices through numpy SeedSequence spawn keys, so parallel and serial runs
 produce identical results. Channel realizations are keyed on the trial index
 alone, and probes and noise on (SNR index, trial), so every variant of a trial
-sees the same channel, probes and noise (paired comparison). The trials split
-into chunks of consecutive trials, as evenly over the workers as the bytes of a
-trial's probe blocks allow (plan_chunks), and no record depends on the split.
-The calling process is worker 0; each other worker is forked for the call.
-Each variant's streams of a chunk are stacked on (trial, SNR point) axes.
+sees the same channel, probes and noise (paired comparison). A chunk of
+consecutive trials runs as stages over (trial, SNR point) arrays: the channel
+draws, the stream draws, the estimates, the scores and DPSK (_chunk_records).
 """
 
 from __future__ import annotations
@@ -59,8 +57,8 @@ class ExperimentConfig:
     A key's type is its default's: ints parse with int(s, 0), floats with float,
     and tuples as comma lists of the default's element type. Construction (also
     through dataclasses.replace) checks the keys, raising ConfigError, and builds
-    the model objects below; variant_protocols holds each variant's protocol,
-    None for the exact-SVD oracle, and front_end the hybrid variants' analog combiners.
+    the model objects below; variant_protocols maps each tracker variant, in variants
+    order, to its protocol (the oracle has none), and front_end holds the hybrid analog combiners.
     """
 
     n_bs: int = 100
@@ -90,7 +88,7 @@ class ExperimentConfig:
     channel: ChannelParams = field(init=False, repr=False, compare=False)
     protocol: ProtocolConfig = field(init=False, repr=False, compare=False)
     metrics: MetricConfig = field(init=False, repr=False, compare=False)
-    variant_protocols: tuple = field(init=False, repr=False, compare=False)
+    variant_protocols: dict = field(init=False, repr=False, compare=False)
     front_end: HybridFrontEnd = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -119,7 +117,8 @@ class ExperimentConfig:
                                       tracker=TrackerSpec(beta=self.pastd_beta, delta=self.ooja_delta))
         metrics = MetricConfig(self.psk_order, self.n_data_symbols)
         try:  # the trial's rule, at the mean channel power E||H||^2 = n_bs n_ms PATH_GAIN
-            _transmit_powers(self.snr_grid_db, self.n_ms, self.n_bs * self.n_ms * PATH_GAIN)
+            for x in self.snr_grid_db:
+                _transmit_power(x, self.n_ms, self.n_bs * self.n_ms * PATH_GAIN)
         except ValueError as exc:
             raise ConfigError(f"snr_grid_db: at the mean channel power, {exc}") from None
         if self.multiplexing_order > min(self.n_bs, self.n_ms):
@@ -128,26 +127,23 @@ class ExperimentConfig:
             raise ConfigError("n_rf_bs/n_rf_ms must be between 1 and the antenna counts")
         for key in ("snr_grid_db", "variants"):
             value = getattr(self, key)
+            if len(value) == 0:
+                raise ConfigError(f"{key} must be nonempty")
             if len(set(value)) != len(value):
                 raise ConfigError(f"{key}: duplicate entries in {_fmt_value(value)!r}")
-        variant_protocols = []
-        for name in self.variants:  # <tracker kind>-<mode>, checked by the objects it builds
+        variant_protocols = {}
+        for name in (v for v in self.variants if v != ORACLE):  # <tracker kind>-<mode>, checked by what it builds
             kind, _, mode = name.partition("-")
             try:
-                variant_protocols.append(None if name == ORACLE else replace(
-                    protocol, mode=mode, tracker=replace(protocol.tracker, kind=kind)))
+                variant_protocols[name] = replace(protocol, mode=mode, tracker=replace(protocol.tracker, kind=kind))
             except ValueError as exc:
                 raise ConfigError(f"variants: {name!r}: {exc}") from None
         if self.n_trials < 1:
             raise ConfigError(f"n_trials must be >= 1, got {self.n_trials}")
-        if len(self.snr_grid_db) == 0:
-            raise ConfigError("snr_grid_db must be nonempty")
-        if len(self.variants) == 0:
-            raise ConfigError("variants must be nonempty")
         if self.master_seed < 0:
             raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
         for name, value in (("bs", bs), ("ms", ms), ("channel", channel), ("protocol", protocol),
-                            ("metrics", metrics), ("variant_protocols", tuple(variant_protocols)),
+                            ("metrics", metrics), ("variant_protocols", variant_protocols),
                             ("front_end", make_front_end(bs, ms, protocol))):
             object.__setattr__(self, name, value)
 
@@ -182,9 +178,7 @@ def _parse_document(text: str) -> dict:
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, _, val = line.partition("=")
-        key = key.strip()
-        val = val.strip()
+        key, _, val = (part.strip() for part in line.partition("="))
         if key not in _DEFAULTS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
@@ -250,27 +244,22 @@ def _check_metrics(eta_u, eta_v, se, se_oracle) -> None:
         raise _StreamFault(f"spectral efficiency {se[i]} exceeds the oracle's {se_oracle[i]}", i)
 
 
-def _transmit_powers(snr_grid_db, n_ms: int, h2: float) -> tuple:
-    """p_t = 10^(x/10) n_ms sigma^2 / h2 at each SNR point x (1 if h2 <= 0) for ||H||^2 = h2;
-    ValueError at the first point where p_t is 0 or p_t / sigma^2 is not finite."""
-    p_ts = []
-    for x in snr_grid_db:
-        try:
-            p_t = 10.0 ** (x / 10.0) * n_ms * NOISE_VARIANCE / h2 if h2 > 0 else 1.0
-        except OverflowError:
-            p_t = math.inf
-        if not (p_t > 0.0 and math.isfinite(p_t / NOISE_VARIANCE)):
-            fault = "p_t / sigma^2 is not finite" if p_t > 0.0 else "p_t is not > 0"
-            raise ValueError(f"transmit power {p_t} at snr_db {x}: {fault} (||H||^2 = {h2})")
-        p_ts.append(p_t)
-    return tuple(p_ts)
+def _transmit_power(snr_db: float, n_ms: int, h2: float) -> float:
+    """p_t = 10^(snr_db/10) n_ms sigma^2 / h2 (1 if h2 <= 0) for ||H||^2 = h2;
+    ValueError where p_t is 0 or p_t / sigma^2 is not finite."""
+    try:
+        p_t = 10.0 ** (snr_db / 10.0) * n_ms * NOISE_VARIANCE / h2 if h2 > 0 else 1.0
+    except OverflowError:
+        p_t = math.inf
+    if not (p_t > 0.0 and math.isfinite(p_t / NOISE_VARIANCE)):
+        fault = "p_t / sigma^2 is not finite" if p_t > 0.0 else "p_t is not > 0"
+        raise ValueError(f"transmit power {p_t} at snr_db {snr_db}: {fault} (||H||^2 = {h2})")
+    return p_t
 
 
-# The largest chunk's drawn ProbeBlocks, in bytes: 3 trials at 100 x 30 (458 KB each), 17 at 16 x 8. A
-# chunk pays the per-call cost of Python and numpy once for its B x n_snr streams but holds its blocks
-# through every variant. At B = 1, 2, 3, 4, 6, `paper` ran 105, 148, 165, 173, 182 trials/s at 45.9, 46.5,
-# 47.4, 48.4, 50.5 MB peak RSS and `mimo2` 111, 155, 171, 191, 203 at 45.5, 46.7, 47.6, 48.6, 50.9
-# (BENCH_chunkbytes.json): B = 3 stays within 5% of B = 1's memory; more buys speed with memory.
+# The largest chunk's drawn ProbeBlocks, in bytes: 3 trials at 100 x 30 (458 KB each), 17 at 16 x 8. A chunk
+# pays the per-call cost of Python and numpy once for its B x n_snr streams but holds its blocks through every
+# variant: B = 3 stays within 5% of B = 1's peak RSS, and more buys speed with memory (BENCH_chunkbytes.json).
 CHUNK_BYTES = 1_500_000
 
 
@@ -289,68 +278,80 @@ def plan_chunks(cfg: ExperimentConfig, workers: int) -> tuple:
     return tuple(map(range, edges, edges[1:])), width
 
 
-def _chunk_records(cfg: ExperimentConfig, trials: range) -> list:
-    """Each trial's records, in (variant, SNR) order, for a chunk of consecutive trials."""
-    snrs = cfg.snr_grid_db
-    n_bs, n_ms = cfg.bs.n_elements, cfg.ms.n_elements
-    m = cfg.protocol.m
-    chans, p_ts = [], []
+def _draw_channels(cfg: ExperimentConfig, trials: range) -> tuple:
+    """The channels as one realization with axes (trial, 1, ...), and the (trial, SNR point) powers."""
+    chans, powers = [], []
     for t in trials:
         chan_rng = np.random.default_rng(np.random.SeedSequence(cfg.master_seed, spawn_key=(0, t)))
         try:
             chans.append(sample_channel(cfg.channel, cfg.bs, cfg.ms, chan_rng))
-            p_ts.append(_transmit_powers(snrs, n_ms, float(np.linalg.norm(chans[-1].h) ** 2)))
+            h2 = float(np.linalg.norm(chans[-1].h) ** 2)
+            powers.append([_transmit_power(x, cfg.ms.n_elements, h2) for x in cfg.snr_grid_db])
         except Exception as exc:
             raise RuntimeError(f"trial {t}, channel draw: {exc}") from exc
-    powers = np.array(p_ts)  # (trial, SNR point)
-    # the chunk's channels as one realization with axes (trial, 1, ...), broadcast over the SNR axis
-    arrays = {k: np.stack([getattr(c, k) for c in chans])[:, None] for k in ("h", "u", "sigma", "v")}
-    chunk = ChannelRealization(**arrays, rays=tuple(c.rays for c in chans))
-    bounds = spectral_efficiency_bound(chunk.sigma[..., :m], powers, NOISE_VARIANCE)  # the oracle's rates
-    # each trial's realization as views of the chunk's, so that the channels are held once
-    chans = [ChannelRealization(*(a[b, 0] for a in arrays.values()), c.rays) for b, c in enumerate(chans)]
-    oracle = EstimatedBeamformers(d_ms=chunk.u[..., :m], d_bs=chunk.v[..., :m])
+    arrays = (np.stack([getattr(c, k) for c in chans])[:, None] for k in ("h", "u", "sigma", "v"))
+    return ChannelRealization(*arrays, tuple(c.rays for c in chans)), np.array(powers)
 
-    # one stream per (trial, SNR point), shared by every variant (common random numbers):
-    # each generator draws phase (a)'s block, phase (b)'s block, then the DPSK noise (below)
-    shape = (len(trials), len(snrs))
-    seqs = [[np.random.SeedSequence(cfg.master_seed, spawn_key=(1, si, t)) for si in range(len(snrs))]
-            for t in trials]
-    seeds = [[int(seq.generate_state(1)[0]) for seq in row] for row in seqs]
-    rngs = [np.random.default_rng(seq) for row in seqs for seq in row]  # in (trial, SNR) order
-    probes = tuple(ProbeBlock(*(a.reshape(shape + a.shape[1:]) for a in block))
-                   for block in draw_probes(rngs, cfg.protocol, n_bs, n_ms))
 
-    # every tracker variant in one call, which forms phase (a) once for all of them
-    tracked = {name: protocol for name, protocol in zip(cfg.variants, cfg.variant_protocols) if protocol is not None}
-    beams_of = {}
-    if tracked:
-        with _named(tuple(tracked), trials, snrs, seeds):
-            beams = run_protocol(chunk, tuple(tracked.values()), cfg.front_end, NOISE_VARIANCE, probes, powers)
-            beams_of = dict(zip(tracked, beams))
-    tables = {}  # each variant's beams and eta_u, eta_v, se_bits, ser (None unless DPSK) per (trial, SNR point)
+def _draw_streams(cfg: ExperimentConfig, trials: range) -> tuple:
+    """(seeds, rngs, probes): one stream per (trial, SNR point), shared by every variant (common random
+    numbers). Generator rngs[b][si] draws phase (a)'s block, phase (b)'s, then its DPSK noise (_dpsk)."""
+    shape = (len(trials), len(cfg.snr_grid_db))
+    seqs = [[np.random.SeedSequence(cfg.master_seed, spawn_key=(1, si, t)) for si in range(shape[1])] for t in trials]
+    rngs = [[np.random.default_rng(seq) for seq in row] for row in seqs]
+    blocks = draw_probes([g for row in rngs for g in row], cfg.protocol, cfg.bs.n_elements, cfg.ms.n_elements)
+    probes = tuple(ProbeBlock(*(a.reshape(shape + a.shape[1:]) for a in block)) for block in blocks)
+    return [[int(seq.generate_state(1)[0]) for seq in row] for row in seqs], rngs, probes
+
+
+def _estimate(cfg: ExperimentConfig, chunk: ChannelRealization, probes: tuple, powers, trials, seeds) -> dict:
+    """{variant: EstimatedBeamformers}: every tracker's from one run_protocol call, the oracle's exact SVD."""
+    beams = {ORACLE: EstimatedBeamformers(chunk.u[..., :cfg.protocol.m], chunk.v[..., :cfg.protocol.m])}
+    if protocols := cfg.variant_protocols:  # one call forms phase (a) once for every tracker
+        with _named(tuple(protocols), trials, cfg.snr_grid_db, seeds):
+            beams.update(zip(protocols, run_protocol(chunk, tuple(protocols.values()), cfg.front_end,
+                                                     NOISE_VARIANCE, probes, powers)))
+    return beams
+
+
+def _score(cfg: ExperimentConfig, chunk: ChannelRealization, beams: dict, powers, trials, seeds) -> dict:
+    """{variant: table} in variants order: eta_u, eta_v, se_bits and ser (None until _dpsk) per stream."""
+    bounds = spectral_efficiency_bound(chunk.sigma[..., :cfg.protocol.m], powers, NOISE_VARIANCE)
+    tables = {}
     for name in cfg.variants:
-        with _named((name,), trials, snrs, seeds):
-            beams = beams_of.get(name, oracle)  # the oracle's: one pair per trial, at every power
-            _check_beams(beams, shape)  # before scoring: a zero-norm column fails it for all
-            se = spectral_efficiency(chunk.h, beams.d_ms, beams.d_bs, powers, NOISE_VARIANCE)
-            eta_u = np.broadcast_to(normalized_correlation(chunk.u[..., 0], beams.d_ms[..., 0]), shape)
-            eta_v = np.broadcast_to(normalized_correlation(chunk.v[..., 0], beams.d_bs[..., 0]), shape)
+        with _named((name,), trials, cfg.snr_grid_db, seeds):
+            d = beams[name]
+            _check_beams(d, powers.shape)  # before scoring: a zero-norm column fails it for all
+            se = spectral_efficiency(chunk.h, d.d_ms, d.d_bs, powers, NOISE_VARIANCE)
+            eta_u = np.broadcast_to(normalized_correlation(chunk.u[..., 0], d.d_ms[..., 0]), powers.shape)
+            eta_v = np.broadcast_to(normalized_correlation(chunk.v[..., 0], d.d_bs[..., 0]), powers.shape)
             _check_metrics(eta_u, eta_v, se, bounds)
-        tables[name] = beams, np.stack([eta_u, eta_v, se, np.full(shape, None)], axis=-1)
+        tables[name] = np.stack([eta_u, eta_v, se, np.full(powers.shape, None)], axis=-1)
+    return tables
 
-    # DPSK one trial at a time, after every variant's probing: each generator's last draw is
-    # its noise, and a trial's noise and DPSK arrays (n_snr x n_data_symbols) are all that is held
-    for b, (t, chan) in enumerate(zip(trials, chans) if m == 1 else ()):
-        mcfg = replace(cfg.metrics, p_t_bs=p_ts[b])
-        noise = dpsk_noise(rngs[b * len(snrs):(b + 1) * len(snrs)], cfg.metrics.n_data_symbols)
-        for name, (beams, table) in tables.items():
-            with _named((name,), (t,), snrs, seeds[b:b + 1]):
-                trial_beams = EstimatedBeamformers(beams.d_ms[b], beams.d_bs[b])
+
+def _dpsk(cfg: ExperimentConfig, chunk, beams: dict, powers, rngs: list, tables: dict, trials, seeds) -> None:
+    """Each table's ser at m = 1, one trial at a time: the noise is each generator's draw after its blocks,
+    and a trial's noise and DPSK arrays (n_snr x n_data_symbols) are all that is held."""
+    for b, t in enumerate(trials if cfg.protocol.m == 1 else ()):
+        chan = ChannelRealization(chunk.h[b, 0], chunk.u[b, 0], chunk.sigma[b, 0], chunk.v[b, 0], chunk.rays[b])
+        mcfg = replace(cfg.metrics, p_t_bs=powers[b])
+        noise = dpsk_noise(rngs[b], cfg.metrics.n_data_symbols)
+        for name, table in tables.items():
+            with _named((name,), (t,), cfg.snr_grid_db, seeds[b:b + 1]):
+                trial_beams = EstimatedBeamformers(beams[name].d_ms[b], beams[name].d_bs[b])
                 table[b, :, 3] = dpsk_ser_trial(chan, trial_beams, mcfg, NOISE_VARIANCE, noise)
 
-    return [[TrialRecord(t, name, snr_db, *row, seed) for name, (_, table) in tables.items()
-             for snr_db, row, seed in zip(snrs, table[b].tolist(), seeds[b])] for b, t in enumerate(trials)]
+
+def _chunk_records(cfg: ExperimentConfig, trials: range) -> list:
+    """Each trial's records, in (variant, SNR) order, for a chunk of consecutive trials."""
+    chunk, powers = _draw_channels(cfg, trials)
+    seeds, rngs, probes = _draw_streams(cfg, trials)
+    beams = _estimate(cfg, chunk, probes, powers, trials, seeds)
+    tables = _score(cfg, chunk, beams, powers, trials, seeds)
+    _dpsk(cfg, chunk, beams, powers, rngs, tables, trials, seeds)
+    return [[TrialRecord(t, name, snr_db, *row, seed) for name, table in tables.items()
+             for snr_db, row, seed in zip(cfg.snr_grid_db, table[b].tolist(), seeds[b])] for b, t in enumerate(trials)]
 
 
 @contextlib.contextmanager
@@ -489,8 +490,7 @@ def emit_csv(records, destination) -> None:
         groups.setdefault((r.variant, r.snr_db), []).append(r)
     metric_names = ("eta_u", "eta_v", "se_bits", "ser")
     stat_names = ("mean", "median") + tuple(f"q{int(q * 100)}" for q in _QUANTILES)
-    header = ["variant", "snr_db", "n"]
-    header += [f"{m}_{s}" for m in metric_names for s in stat_names]
+    header = ["variant", "snr_db", "n"] + [f"{m}_{s}" for m in metric_names for s in stat_names]
     series = [[x for g in group if (x := getattr(g, name)) is not None]
               for group in groups.values() for name in ("eta_u", "eta_v", "spectral_eff_bits", "ser")]
     cells = iter(_stats_cells(series))
