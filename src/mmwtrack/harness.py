@@ -20,6 +20,7 @@ import hashlib
 import math
 import multiprocessing
 import os
+import traceback
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -398,9 +399,17 @@ def _share_records(cfg: ExperimentConfig, share: tuple) -> list | tuple:
     return done
 
 
+class _RemoteTraceback(Exception):
+    """A forked worker's formatted traceback, attached as the cause of the error it sent."""
+
+
 def _send_share(conn, cfg: ExperimentConfig, share: tuple) -> None:
-    """A forked worker: _share_records, sent on its one-way pipe."""
-    conn.send(_share_records(cfg, share))
+    """A forked worker: _share_records, sent on its one-way pipe. Pickling keeps an error's message but
+    drops its frames and its cause, so a failure also sends the formatted traceback as text."""
+    outcome = _share_records(cfg, share)
+    if isinstance(outcome, tuple):
+        outcome += ("".join(traceback.format_exception(outcome[1])),)
+    conn.send(outcome)
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list:
@@ -409,9 +418,10 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list:
     Chunk j of plan_chunks(cfg, workers) runs on worker j % width: worker 0 is
     the caller, and each other is forked once and sends its records on a pipe.
     No record's bytes depend on the plan or the width. Every fork is joined;
-    then the lowest-numbered failing chunk's error is raised, and a worker that
-    exits without sending fails its first chunk with a RuntimeError naming it,
-    its trials and its exit code. It first sets numpy's bundled OpenBLAS to one
+    then the lowest-numbered failing chunk's error is raised, with a forked
+    worker's traceback as its __cause__, and a worker that exits without
+    sending fails its first chunk with a RuntimeError naming it, its trials and
+    its exit code. It first sets numpy's bundled OpenBLAS to one
     thread, and leaves it there (any other BLAS is left alone): a trial's small
     products gain little from a second thread, which spins between calls, and
     the forked workers inherit the count. Record bytes do not depend on it.
@@ -445,7 +455,10 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list:
             recv.close()
     failed = [(w + outcome[0] * width, w) for w, outcome in enumerate(outcomes) if isinstance(outcome, tuple)]
     if failed:
-        raise outcomes[min(failed)[1]][1]
+        _, exc, *remote = outcomes[min(failed)[1]]
+        if remote:  # a forked worker's error, with that worker's traceback
+            raise exc from _RemoteTraceback("\n" + remote[0])
+        raise exc
     per_trial = [records for j in range(len(chunks)) for records in outcomes[j % width][j // width]]
     # each trial lists its records in (variant, SNR) order: the k-th of every trial, in trial order
     return [rec for same_k in zip(*per_trial) for rec in same_k]

@@ -357,6 +357,21 @@ class TestRunExperiment:
             run_experiment(load_config(SEVEN_TRIALS), workers=2)  # chunks of 4 and 3
         assert multiprocessing.active_children() == []
 
+    def test_a_forked_workers_error_carries_its_traceback(self, monkeypatch):
+        caller, real = os.getpid(), harness.sample_channel
+
+        def draw_in_the_caller_only(*args):
+            if os.getpid() != caller:
+                raise ValueError("boom")
+            return real(*args)
+
+        monkeypatch.setattr(harness, "sample_channel", draw_in_the_caller_only)
+        with pytest.raises(RuntimeError, match=r"^trial 4, channel draw: boom$") as info:
+            run_experiment(load_config(SEVEN_TRIALS), workers=2)  # chunks of 4 and 3: trial 4 is the worker's
+        cause = info.value.__cause__
+        assert cause is not None and "draw_in_the_caller_only" in str(cause)
+        assert multiprocessing.active_children() == []
+
     def test_an_interrupted_caller_stops_and_joins_its_workers(self, monkeypatch):
         # the worker's records overflow the pipe's buffer, and the caller never reads them
         caller = os.getpid()
