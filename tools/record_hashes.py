@@ -11,7 +11,8 @@ the largest |delta| of each numeric column of records.csv and whether the rows'
 (trial, variant, snr_db, seed) keys match in order; a last line gives both
 checkouts' ``src/mmwtrack/*.py`` line totals, as ``wc -l`` counts them. A
 change that keeps bytes shows equal digests, and one that moves numbers at
-rounding level reports them from this table.
+rounding level reports them from this table. After printing the table, the
+tool exits 1 if any run's digests differ or its keys do not match.
 
     python tools/record_hashes.py
     python tools/record_hashes.py --against ../parent-checkout
@@ -104,6 +105,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     runs = [(name, w.config_text(seed=3, n_trials=3), w.workers) for name, w in WORKLOADS.items()]
     runs.append(("SMALL", small_config(), 1))
+    kept = True
     header = ["run", "records / aggregates"]
     if args.against:
         header += ["against: records / aggregates"] + [f"max abs delta {col}" for col in NUMERIC] + ["keys match"]
@@ -115,11 +117,13 @@ def main(argv=None) -> int:
             cells = [f"`{name}`", digests(ours)]
             if args.against:
                 run_against(args.against.resolve(), text, workers, theirs)
-                cells += [digests(theirs)] + compare(ours, theirs)
+                deltas = compare(ours, theirs)
+                cells += [digests(theirs)] + deltas
+                kept = kept and digests(theirs) == digests(ours) and deltas[-1] == "yes"
             print("| " + " | ".join(cells) + " |")
     if args.against:
         print(f"\nsrc/mmwtrack/*.py lines: {src_lines(args.against.resolve())} against, {src_lines(ROOT)} here")
-    return 0
+    return 0 if kept else 1
 
 
 if __name__ == "__main__":
