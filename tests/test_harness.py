@@ -250,10 +250,14 @@ class TestRunExperiment:
             return se
 
         monkeypatch.setattr(harness, "spectral_efficiency", inflated)
-        for n_trials in (1, 3):  # one trial, then the last of a 3-trial chunk
+        # one trial, then the last of a 3-trial chunk; and the oracle's rates bound every variant's
+        # whether or not oracle is one of the variants
+        for n_trials, variants in ((1, "pastd-fd,ooja-hy,oracle"), (3, "pastd-fd,ooja-hy,oracle"),
+                                   (3, "pastd-fd,ooja-hy")):
             calls.clear()
+            text = SMALL.replace("n_trials = 3", f"n_trials = {n_trials}")
             with pytest.raises(RuntimeError) as info:
-                run_experiment(load_config(SMALL.replace("n_trials = 3", f"n_trials = {n_trials}")))
+                run_experiment(load_config(text.replace("variants = pastd-fd,ooja-hy,oracle", f"variants = {variants}")))
             trial = n_trials - 1
             seq = np.random.SeedSequence(7, spawn_key=(1, 1, trial))  # 10 dB
             message = str(info.value)
@@ -634,15 +638,19 @@ class TestSharedDraws:
         assert "oracle" not in message and message.endswith(": injected failure")
 
     def test_oracle_rows_do_not_depend_on_the_variant_list(self):
-        def oracle_rows(variants):
+        def rows(variants, of):
             text = SMALL.replace("snr_grid_db = 0,10", "snr_grid_db = -10,0")
             text = text.replace("variants = pastd-fd,ooja-hy,oracle", f"variants = {variants}")
-            return {(r.trial_index, r.snr_db): (r.ser, r.eta_u, r.eta_v, r.spectral_eff_bits, r.seed_used)
-                    for r in run_experiment(load_config(text)) if r.variant == "oracle"}
+            return {(r.variant, r.trial_index, r.snr_db): (r.ser, r.eta_u, r.eta_v, r.spectral_eff_bits, r.seed_used)
+                    for r in run_experiment(load_config(text)) if r.variant in of}
 
-        alone = oracle_rows("oracle")
+        alone = rows("oracle", of=("oracle",))
         assert len(alone) == 3 * 2
-        assert oracle_rows("oracle,pastd-fd") == alone
+        assert rows("oracle,pastd-fd", of=("oracle",)) == alone
+        # and the oracle, which is one more estimate, moves no tracker row
+        trackers = rows("pastd-fd,ooja-hy", of=("pastd-fd", "ooja-hy"))
+        assert len(trackers) == 2 * 3 * 2
+        assert rows("pastd-fd,oracle,ooja-hy", of=("pastd-fd", "ooja-hy")) == trackers
 
 
 def reference_aggregates(records) -> str:
