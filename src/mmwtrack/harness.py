@@ -20,7 +20,6 @@ import hashlib
 import math
 import multiprocessing
 import os
-import traceback
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -408,6 +407,7 @@ def _send_share(conn, cfg: ExperimentConfig, share: tuple) -> None:
     drops its frames and its cause, so a failure also sends the formatted traceback as text."""
     outcome = _share_records(cfg, share)
     if isinstance(outcome, tuple):
+        import traceback  # here, not at the top: only a failing worker needs it, and every run imports this module
         outcome += ("".join(traceback.format_exception(outcome[1])),)
     conn.send(outcome)
 
