@@ -420,9 +420,9 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list:
     No record's bytes depend on the plan or the width. Every fork is joined;
     then the lowest-numbered failing chunk's error is raised, with a forked
     worker's traceback as its __cause__, and a worker that exits without
-    sending fails its first chunk with a RuntimeError naming it, its trials and
-    its exit code. It first sets numpy's bundled OpenBLAS to one
-    thread, and leaves it there (any other BLAS is left alone): a trial's small
+    sending fails its first chunk with a RuntimeError naming it, its trials
+    and its exit code. It first sets numpy's bundled OpenBLAS to one thread,
+    and leaves it there (any other BLAS is left alone): a trial's small
     products gain little from a second thread, which spins between calls, and
     the forked workers inherit the count. Record bytes do not depend on it.
     """
