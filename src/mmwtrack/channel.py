@@ -173,22 +173,22 @@ def sample_channel(
     gamma = math.sqrt(bs.n_elements * ms.n_elements / total_rays)
     spread = math.radians(params.cluster_angle_spread_deg)
 
+    # rng.uniform(lo, hi) is lo + (hi - lo) rng.random(): the same doubles, from fewer and cheaper calls
     rays = []
     for n_ray in params.rays_per_cluster:
-        center_bs = rng.uniform(-math.pi / 2, math.pi / 2)
-        center_ms = rng.uniform(-math.pi / 2, math.pi / 2)
+        center_bs, center_ms = (-math.pi / 2 + math.pi * u for u in rng.random(2).tolist())
         for _ in range(n_ray):
-            aod = min(max(center_bs + rng.uniform(-spread, spread), -math.pi / 2), math.pi / 2)
-            aoa = min(max(center_ms + rng.uniform(-spread, spread), -math.pi / 2), math.pi / 2)
-            gain = (rng.standard_normal() + 1j * rng.standard_normal()) / math.sqrt(2.0)
+            off_bs, off_ms = (-spread + 2.0 * spread * u for u in rng.random(2).tolist())
+            aod = min(max(center_bs + off_bs, -math.pi / 2), math.pi / 2)
+            aoa = min(max(center_ms + off_ms, -math.pi / 2), math.pi / 2)
+            g_re, g_im = rng.standard_normal(2).tolist()
+            gain = (g_re + 1j * g_im) / math.sqrt(2.0)
             rays.append(RayParams(gain=gain, attenuation_linear=PATH_GAIN, aod_bs_rad=aod, aoa_ms_rad=aoa))
 
     # the four LOS draws are made in every trial, so RNG use does not depend on los_probability
-    los_present = bool(rng.uniform() < params.los_probability)
-    los_phase = float(rng.uniform(0.0, 2.0 * math.pi))
-    los_aoa = float(rng.uniform(-math.pi / 2, math.pi / 2))
-    los_aod = float(rng.uniform(-math.pi / 2, math.pi / 2))
-    if los_present:  # amplitude sqrt(N_BS N_MS PATH_GAIN) once scaled by gamma
-        los_gain = np.exp(1j * los_phase) * math.sqrt(total_rays)
-        rays.append(RayParams(gain=los_gain, attenuation_linear=PATH_GAIN, aod_bs_rad=los_aod, aoa_ms_rad=los_aoa))
+    u_los, u_phase, u_aoa, u_aod = rng.random(4).tolist()
+    if u_los < params.los_probability:  # amplitude sqrt(N_BS N_MS PATH_GAIN) once scaled by gamma
+        los_gain = np.exp(1j * (2.0 * math.pi * u_phase)) * math.sqrt(total_rays)
+        rays.append(RayParams(gain=los_gain, attenuation_linear=PATH_GAIN, aod_bs_rad=-math.pi / 2 + math.pi * u_aod,
+                              aoa_ms_rad=-math.pi / 2 + math.pi * u_aoa))
     return assemble_channel(bs, ms, rays, gamma)

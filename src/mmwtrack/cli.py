@@ -30,8 +30,8 @@ THREAD_VARS = (
 
 
 def _manifest(cfg, threads: int, wall_s: float) -> str:
-    """What ran, as key = value lines: digest, seed, the chunk plan for --threads (workers and
-    trials per chunk), versions, thread settings, wall time."""
+    """What ran, as key = value lines: digest, seed, the chunk plan for --threads (workers, at most
+    the usable CPUs, and trials per chunk), versions, thread settings, wall time."""
     chunks, workers = plan_chunks(cfg, threads)
     fields = {
         "config_digest": config_digest(cfg),
@@ -55,7 +55,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run the configured Monte Carlo experiment")
     sim.add_argument("--config", required=True, help="path to the experiment config")
     sim.add_argument("--out", required=True, help="output directory for CSV files")
-    sim.add_argument("--threads", type=int, default=1, help="worker processes, the calling process among them")
+    sim.add_argument("--threads", type=int, default=1,
+                     help="worker processes, the calling process among them; at most the usable CPUs")
     sim.add_argument("--seed", type=int, default=None, help="override the master seed")
 
     val = sub.add_parser("validate", help="parse and validate a config, then exit")

@@ -73,6 +73,13 @@ def dpsk_noise(rngs, n_data_symbols: int) -> np.ndarray:
     return w
 
 
+def scale_dpsk_noise(w, sigma2_n: float) -> tuple:
+    """Drawn (S, 2, n + 1) noise w at sigma2_n, prepared once for every variant of a trial: its real
+    parts a_n and imaginary parts b_n, each times sqrt(sigma2_n / 2), and b_n b_{n-1}, which no gain moves."""
+    a, b = np.moveaxis(w * math.sqrt(sigma2_n / 2.0), 1, 0)
+    return a, b, b[:, 1:] * b[:, :-1]
+
+
 def dpsk_ser_trial(
     chan: ChannelRealization,
     beams: EstimatedBeamformers,
@@ -90,7 +97,8 @@ def dpsk_ser_trial(
     |arg(y_n conj(y_{n-1}))| > pi/K. rng is one Generator, which draws one
     stream's noise now and gives a float, or drawn (S, 2, n + 1) noise from
     dpsk_noise, which is only read and gives S values: one per stream, each with
-    its own cfg.p_t_bs and optionally its own beams (a leading stream axis).
+    its own cfg.p_t_bs and optionally its own beams (a leading stream axis), or
+    that noise as scale_dpsk_noise prepared it at this sigma2_n.
     """
     if beams.d_ms.shape[-1] != 1 or beams.d_bs.shape[-1] != 1:
         raise ValueError("differential SER supports multiplexing order 1 only")
@@ -104,11 +112,13 @@ def dpsk_ser_trial(
     if single and (gain.ndim > 0 or np.ndim(cfg.p_t_bs) > 0):
         raise ValueError("one Generator scores one stream: draw a stack's noise with dpsk_noise")
     w = dpsk_noise([rng], cfg.n_data_symbols) if single else rng
-    if w.shape[-1] != cfg.n_data_symbols + 1:
-        raise ValueError(f"noise has {w.shape[-1]} samples, expected {cfg.n_data_symbols + 1}")
-    scale = math.sqrt(sigma2_n / 2.0)
-    amp = np.sqrt(np.broadcast_to(cfg.p_t_bs, len(w))) * gain
-    y = (w[:, 0] * scale + amp[:, None]) + 1j * (w[:, 1] * scale)
-    z = y[:, 1:] * np.conj(y[:, :-1])
-    ser = np.mean(np.abs(np.angle(z)) > math.pi / cfg.psk_order, axis=-1)
+    re, im, im_im = w if isinstance(w, tuple) else scale_dpsk_noise(w, sigma2_n)
+    if re.shape[-1] != cfg.n_data_symbols + 1:
+        raise ValueError(f"noise has {re.shape[-1]} samples, expected {cfg.n_data_symbols + 1}")
+    a = re + (np.sqrt(np.broadcast_to(cfg.p_t_bs, len(re))) * gain)[:, None]  # Re y_n; Im y_n is im
+    re_z = a[:, 1:] * a[:, :-1] + im_im  # z = y_n conj(y_{n-1}) in real arithmetic
+    im_z = np.abs(im[:, 1:] * a[:, :-1] - a[:, 1:] * im[:, :-1])
+    # |arg z| > pi/K as Re z < cot(pi/K) |Im z|: cot(pi/2) is tan(0) = 0 and cot(pi/4) rounds below 1, so a symbol
+    # on the boundary, at Re z = 0 for K = 2 or at |Im z| = Re z for K = 4, is not in error, as np.angle decides
+    ser = np.mean(re_z < math.tan(math.pi / 2 - math.pi / cfg.psk_order) * im_z, axis=-1)
     return float(ser[0]) if single else ser

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .channel import NOISE_VARIANCE, PATH_GAIN, ArrayConfig, ChannelParams, ChannelRealization, sample_channel
-from .evaluation import MetricConfig, dpsk_noise, dpsk_ser_trial, normalized_correlation
+from .evaluation import MetricConfig, dpsk_noise, dpsk_ser_trial, normalized_correlation, scale_dpsk_noise
 from .evaluation import spectral_efficiency, spectral_efficiency_bound
 from .protocol import EstimatedBeamformers, HybridFrontEnd, ProtocolConfig, TrackerSpec
 from .protocol import ProbeBlock, draw_probes, make_front_end, run_protocol
@@ -257,22 +257,23 @@ def _transmit_power(snr_db: float, n_ms: int, h2: float) -> float:
     return p_t
 
 
-# The largest chunk's drawn ProbeBlocks, in bytes: 3 trials at 100 x 30 (458 KB each), 17 at 16 x 8. A chunk
+# The largest chunk's drawn ProbeBlocks, in bytes: 6 trials at 100 x 30 (458 KB each), 32 at 16 x 8. A chunk
 # pays the per-call cost of Python and numpy once for its B x n_snr streams but holds its blocks through every
-# variant: B = 3 stays within 5% of B = 1's peak RSS, and more buys speed with memory (BENCH_chunkbytes.json).
-CHUNK_BYTES = 1_500_000
+# variant: B = 6 ran `paper` 4% faster than B = 4 at 8% more peak RSS than B = 3, and B = 8 takes 12% (CHANGES.md).
+CHUNK_BYTES = 2_750_000
 
 
 def plan_chunks(cfg: ExperimentConfig, workers: int) -> tuple:
     """(chunks, width): the trials as k ranges of consecutive trials whose sizes differ by at
-    most one, the first a largest, and the number of worker processes, the caller among them.
-    k is the fewest multiple of the width, capped at n_trials, that keeps every chunk's drawn
-    blocks within CHUNK_BYTES (a trial over it runs alone), so the trials split evenly over
-    the workers. Records do not depend on the plan."""
+    most one, the first a largest, and the number of worker processes, the caller among them,
+    at most the trials and the CPUs this process may run on. k is the fewest multiple of the
+    width, capped at n_trials, that keeps every chunk's drawn blocks within CHUNK_BYTES (a
+    trial over it runs alone), so the trials split evenly over the workers. Records do not
+    depend on the plan."""
     n = cfg.n_trials
-    shapes = draw_probes([], cfg.protocol, cfg.bs.n_elements, cfg.ms.n_elements)  # no stream: the block shapes
+    shapes = draw_probes([], cfg.protocol, cfg.n_bs, cfg.n_ms, NOISE_VARIANCE)  # no stream: the block shapes
     trial_bytes = len(cfg.snr_grid_db) * sum(a.itemsize * math.prod(a.shape[1:]) for b in shapes for a in b)
-    width = max(1, min(workers, n))
+    width = max(1, min(workers, n, len(os.sched_getaffinity(0))))
     k = min(n, width * -(-n // (width * max(1, CHUNK_BYTES // trial_bytes))))
     edges = [-(-i * n // k) for i in range(k + 1)]  # ceil(i n / k)
     return tuple(map(range, edges, edges[1:])), width
@@ -299,7 +300,7 @@ def _draw_streams(cfg: ExperimentConfig, trials: range) -> tuple:
     shape = (len(trials), len(cfg.snr_grid_db))
     seqs = [[np.random.SeedSequence(cfg.master_seed, spawn_key=(1, si, t)) for si in range(shape[1])] for t in trials]
     rngs = [[np.random.default_rng(seq) for seq in row] for row in seqs]
-    blocks = draw_probes([g for row in rngs for g in row], cfg.protocol, cfg.bs.n_elements, cfg.ms.n_elements)
+    blocks = draw_probes([g for row in rngs for g in row], cfg.protocol, cfg.n_bs, cfg.n_ms, NOISE_VARIANCE)
     probes = tuple(ProbeBlock(*(a.reshape(shape + a.shape[1:]) for a in block)) for block in blocks)
     return [[int(seq.generate_state(1)[0]) for seq in row] for row in seqs], rngs, probes
 
@@ -332,11 +333,11 @@ def _score(cfg: ExperimentConfig, chunk: ChannelRealization, beams: dict, powers
 
 def _dpsk(cfg: ExperimentConfig, chunk, beams: dict, powers, rngs: list, tables: dict, trials, seeds) -> None:
     """Each table's ser at m = 1, one trial at a time: the noise is each generator's draw after its blocks,
-    and a trial's noise and DPSK arrays (n_snr x n_data_symbols) are all that is held."""
+    scaled once for every variant, and a trial's noise and DPSK arrays (n_snr x n_data_symbols) are all that is held."""
     for b, t in enumerate(trials if cfg.protocol.m == 1 else ()):
         chan = ChannelRealization(chunk.h[b, 0], chunk.u[b, 0], chunk.sigma[b, 0], chunk.v[b, 0], chunk.rays[b])
         mcfg = replace(cfg.metrics, p_t_bs=powers[b])
-        noise = dpsk_noise(rngs[b], cfg.metrics.n_data_symbols)
+        noise = scale_dpsk_noise(dpsk_noise(rngs[b], cfg.metrics.n_data_symbols), NOISE_VARIANCE)
         for name, table in tables.items():
             with _named((name,), (t,), cfg.snr_grid_db, seeds[b:b + 1]):
                 trial_beams = EstimatedBeamformers(beams[name].d_ms[b], beams[name].d_bs[b])
@@ -348,6 +349,7 @@ def _chunk_records(cfg: ExperimentConfig, trials: range) -> list:
     chunk, powers = _draw_channels(cfg, trials)
     seeds, rngs, probes = _draw_streams(cfg, trials)
     beams = _estimate(cfg, chunk, probes, powers, trials, seeds)
+    del probes  # only the estimates read the blocks: the scores and DPSK reuse their memory
     tables = _score(cfg, chunk, beams, powers, trials, seeds)
     _dpsk(cfg, chunk, beams, powers, rngs, tables, trials, seeds)
     return [[TrialRecord(t, name, snr_db, *row, seed) for name, table in tables.items()
@@ -491,12 +493,10 @@ def emit_csv(records, destination) -> None:
 
     with open(os.path.join(destination, "records.csv"), "w", encoding="utf-8") as fh:
         fh.write("trial,variant,snr_db,eta_u,eta_v,se_bits,ser,seed\n")
-        for r in records:
-            fh.write(
-                f"{r.trial_index},{r.variant},{_fmt_value(r.snr_db)},"
-                f"{_fmt_value(r.eta_u)},{_fmt_value(r.eta_v)},"
-                f"{_fmt_value(r.spectral_eff_bits)},{_fmt_value(r.ser)},{r.seed_used}\n"
-            )
+        for r in records:  # the fields as _fmt_value writes them, in one f-string a row
+            ser = "" if r.ser is None else f"{r.ser:.17g}"
+            fh.write(f"{r.trial_index},{r.variant},{r.snr_db:.17g},{r.eta_u:.17g},{r.eta_v:.17g},"
+                     f"{r.spectral_eff_bits:.17g},{ser},{r.seed_used}\n")
 
     groups = {}
     for r in records:

@@ -109,55 +109,48 @@ def _lift_and_normalize(d_rf, d_bb):
 
 
 class ProbeBlock(NamedTuple):
-    """One phase's draws for a stack of streams: +-1 signs (..., P, n_tx), unit noise (..., P, n_rx)."""
+    """One phase's draws for a stack of streams: +-1 signs (..., P, n_tx) and the receiver noise (..., P, n_rx)."""
 
     signs: np.ndarray
-    re: np.ndarray
-    im: np.ndarray
+    noise: np.ndarray
 
 
-def draw_probes(rngs, cfg: ProtocolConfig, n_bs: int, n_ms: int) -> tuple:
-    """Each generator's (phase a, phase b) blocks: +-1 signs, then real and imaginary noise, of p_bs x (n_bs, n_ms)
-    then p_ms x (m, n_bs). The signs are int8, as a chunk of trials holds its blocks through every variant."""
-    blocks = []
+def draw_probes(rngs, cfg: ProtocolConfig, n_bs: int, n_ms: int, sigma2_n: float) -> tuple:
+    """Each generator's (phase a, phase b) blocks of p_bs x (n_bs, n_ms) then p_ms x (m, n_bs): +-1 signs, then
+    real and imaginary unit noise, stored once as sqrt(sigma2_n / 2) (re + j im). The signs are int8, as a chunk
+    of trials holds its blocks through every variant."""
+    blocks, scale = [], math.sqrt(sigma2_n / 2.0)
     for n_probes, n_tx, n_rx in ((cfg.p_bs, n_bs, n_ms), (cfg.p_ms, cfg.m, n_bs)):
         signs = np.empty((len(rngs), n_probes, n_tx), dtype=np.int8)
-        re = np.empty((len(rngs), n_probes, n_rx))
-        im = np.empty_like(re)
+        noise = np.empty((len(rngs), n_probes, n_rx), dtype=complex)
+        unit = np.empty((2, n_probes, n_rx))
         for i, gen in enumerate(rngs):  # drawn in place: stacking drawn blocks costs as much again
             signs[i] = gen.integers(0, 2, size=(n_probes, n_tx))
-            gen.standard_normal(out=re[i])
-            gen.standard_normal(out=im[i])
+            gen.standard_normal(out=unit)  # the real parts, then the imaginary parts
+            np.multiply(unit[0], scale, out=noise[i].real)
+            np.multiply(unit[1], scale, out=noise[i].imag)
         signs *= 2
         signs -= 1
-        blocks.append(ProbeBlock(signs, re, im))
+        blocks.append(ProbeBlock(signs, noise))
     return tuple(blocks)
 
 
-def _received(link, n_probes, sigma2_n, block: ProbeBlock, power) -> np.ndarray:
-    """The rows R = sqrt(rho) S link^T + sqrt(sigma2/2) N from probing link (n_rx x n_tx) with block's
-    signs S and noise N at power rho. block is a drawn ProbeBlock of a stack of streams, only read;
-    each stream has a link of its own or a broadcast one, and power is one scalar or one per stream."""
+def _received(link, n_probes, block: ProbeBlock, power) -> np.ndarray:
+    """The rows R = sqrt(rho) S link^T + N from probing link (n_rx x n_tx) with block's signs S and noise N at
+    power rho. block is a drawn ProbeBlock of a stack of streams, only read; each stream has a link of its own
+    or a broadcast one, and power is one scalar or one per stream."""
     power = np.asarray(power, dtype=float)
     if not np.all(np.isfinite(power) & (power > 0)):
         raise ValueError("power must be finite and > 0")
     if block.signs.shape[-2] != n_probes:
         raise ValueError(f"probe block has {block.signs.shape[-2]} probes, expected {n_probes}")
-    # S is real, so S link^T is one real product on the interleaved real and
-    # imaginary parts of link^T, and the noise adds to those parts in place
+    # S is real, so S link^T is one real product on the interleaved real and imaginary parts of link^T
     link_t = np.ascontiguousarray(np.swapaxes(link, -1, -2)).view(np.float64)
     parts = np.matmul(block.signs, link_t)
     parts *= np.sqrt(power)[..., None, None]
-    # the noise is scaled into one reused buffer one slice at a time, a slice being the last
-    # three axes (a chunk trial's streams), so that no temporary as large as the block is made
-    real, imag = parts[..., 0::2], parts[..., 1::2]
-    tail = real.shape[-3:]
-    scaled = np.empty(tail)
-    for part, noise in ((real, block.re), (imag, block.im)):
-        for dst, src in zip(part.reshape((-1,) + tail), noise.reshape((-1,) + tail), strict=True):
-            np.multiply(src, math.sqrt(sigma2_n / 2.0), out=scaled)
-            dst += scaled
-    return parts.view(complex)
+    rows = parts.view(complex)
+    rows += block.noise
+    return rows
 
 
 def _warm_start(r, d_rf, cfg: ProtocolConfig) -> tuple:
@@ -186,8 +179,7 @@ def _combiners(cfg: ProtocolConfig, front: HybridFrontEnd | None):
     return front.d_ms_rf, front.d_bs_rf
 
 
-def run_phase_a(chan: ChannelRealization, cfg, front: HybridFrontEnd | None, sigma2_n: float,
-                block: ProbeBlock, power=1.0):
+def run_phase_a(chan: ChannelRealization, cfg, front: HybridFrontEnd | None, block: ProbeBlock, power=1.0):
     """Downlink probing with phase (a)'s drawn block at power, a scalar or one per stream; returns
     the tracked left-subspace basis, with the block's leading (stream) axes, against which chan.h's
     broadcast. Full antenna dimension in FD mode, RF-chain dimension in hybrid mode. A tuple of configs
@@ -195,7 +187,7 @@ def run_phase_a(chan: ChannelRealization, cfg, front: HybridFrontEnd | None, sig
     cfgs = cfg if isinstance(cfg, tuple) else (cfg,)
     if any(replace(c, mode=cfgs[0].mode, tracker=cfgs[0].tracker) != cfgs[0] for c in cfgs[1:]):
         raise ValueError("configs probed together may differ only in mode and tracker")
-    r = _received(chan.h, cfgs[0].p_bs, sigma2_n, block, power)
+    r = _received(chan.h, cfgs[0].p_bs, block, power)
     modes = {c.mode: c for c in cfgs}  # a warm start reads nothing else in which they differ
     starts = {mode: _warm_start(r, _combiners(c, front)[0], c) for mode, c in modes.items()}
     bases = tuple(_track(*starts[c.mode], c) for c in cfgs)
@@ -203,34 +195,35 @@ def run_phase_a(chan: ChannelRealization, cfg, front: HybridFrontEnd | None, sig
 
 
 def run_phase_b(chan: ChannelRealization, d_ms: np.ndarray, cfg: ProtocolConfig, front: HybridFrontEnd | None,
-                sigma2_n: float, block: ProbeBlock, power=1.0) -> np.ndarray:
+                block: ProbeBlock, power=1.0) -> np.ndarray:
     """Uplink probing through the estimated precoder d_ms, a (..., n_ms, m) stack, with phase (b)'s
     drawn block; returns the tracked right basis. block, power and chan.h as in run_phase_a."""
     n_ms, n_bs = chan.h.shape[-2:]
     if d_ms.shape[-2:] != (n_ms, cfg.m):
         raise ValueError(f"d_ms has shape {d_ms.shape}, expected ({n_ms}, {cfg.m})")
-    r = _received(chan.h.conj().mT @ d_ms, cfg.p_ms, sigma2_n, block, power)
+    r = _received(chan.h.conj().mT @ d_ms, cfg.p_ms, block, power)
     return _track(*_warm_start(r, _combiners(cfg, front)[1], cfg), cfg)
 
 
 def run_protocol(chan: ChannelRealization, cfg, front: HybridFrontEnd | None, sigma2_n: float, probes, power=1.0):
     """Run both phases and return unit-column beamformers; hybrid mode needs a front end.
 
-    probes is one Generator, from which draw_probes draws one stream's blocks, or the (phase a,
-    phase b) blocks that draw_probes drew for a stack of streams, each stream at its own power:
-    every beamformer gains the stack's leading axes, against which chan.h's broadcast. A tuple of
-    configs, as in run_phase_a, shares phase (a) and gives a tuple of beamformers.
+    probes is one Generator, from which draw_probes draws one stream's blocks at noise power sigma2_n,
+    or the (phase a, phase b) blocks that draw_probes drew for a stack of streams, which hold their
+    noise, each stream at its own power: every beamformer gains the stack's leading axes, against
+    which chan.h's broadcast. A tuple of configs, as in run_phase_a, shares phase (a) and gives a
+    tuple of beamformers.
     """
     cfgs = cfg if isinstance(cfg, tuple) else (cfg,)
     if isinstance(probes, np.random.Generator):
         if chan.h.ndim > 2 or np.ndim(power) > 0:
             raise ValueError("one Generator probes one stream: draw a stack's blocks with draw_probes")
         n_ms, n_bs = chan.h.shape
-        probes = [ProbeBlock(*(a[0] for a in block)) for block in draw_probes([probes], cfgs[0], n_bs, n_ms)]
+        probes = [ProbeBlock(*(a[0] for a in b)) for b in draw_probes([probes], cfgs[0], n_bs, n_ms, sigma2_n)]
     beams = []
-    for c, basis in zip(cfgs, run_phase_a(chan, cfgs, front, sigma2_n, probes[0], power)):
+    for c, basis in zip(cfgs, run_phase_a(chan, cfgs, front, probes[0], power)):
         d_ms_rf, d_bs_rf = _combiners(c, front)
         d_ms = _lift_and_normalize(d_ms_rf, basis)
-        d_bs = _lift_and_normalize(d_bs_rf, run_phase_b(chan, d_ms, c, front, sigma2_n, probes[1], power))
+        d_bs = _lift_and_normalize(d_bs_rf, run_phase_b(chan, d_ms, c, front, probes[1], power))
         beams.append(EstimatedBeamformers(d_ms=d_ms, d_bs=d_bs))
     return tuple(beams) if isinstance(cfg, tuple) else beams[0]

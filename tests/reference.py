@@ -7,9 +7,10 @@ generator, which draws phase (a)'s probe block, phase (b)'s, then the DPSK
 noise, through the engine's own `draw_probes` and `dpsk_noise`. Everything
 after the draws is written here from the equations:
 
-- received sample p: r_p = sqrt(p_t) L s_p + sqrt(sigma2 / 2) (n_re + j n_im),
-  with L = H in phase (a) and L = H^H d_ms in phase (b), seen as D_rf^H r_p
-  behind a hybrid receiver's analog combiner D_rf;
+- received sample p: r_p = sqrt(p_t) L s_p + n_p, with L = H in phase (a) and
+  L = H^H d_ms in phase (b), seen as D_rf^H r_p behind a hybrid receiver's
+  analog combiner D_rf; n_p is the block's noise, which `draw_probes` stores
+  as sqrt(sigma2 / 2) (n_re + j n_im);
 - warm start: the m leading eigenvectors of the sample covariance of the first
   `warmup` samples by `np.linalg.eigh`, eigenvalues clamped at EIGVAL_FLOOR,
   each column rotated so that its first largest-magnitude entry is real
@@ -76,8 +77,7 @@ def probe_and_track(link, block, p_t, d_rf, kind, cfg):
     """One phase: the received samples, the warm start, the tracker; unit-column beams."""
     rows = []
     for p in range(block.signs.shape[0]):
-        r = math.sqrt(p_t) * (link @ block.signs[p])
-        r = r + math.sqrt(NOISE_VARIANCE / 2.0) * (block.re[p] + 1j * block.im[p])
+        r = math.sqrt(p_t) * (link @ block.signs[p]) + block.noise[p]
         rows.append(r if d_rf is None else d_rf.conj().T @ r)
     w, lam = warm_start(rows[: cfg.warmup], cfg.multiplexing_order)
     for r in rows[cfg.warmup:]:
@@ -123,7 +123,7 @@ def trial_records(cfg, t) -> dict:
     for si, snr_db in enumerate(cfg.snr_grid_db):
         seq = np.random.SeedSequence(cfg.master_seed, spawn_key=(1, si, t))
         rng = np.random.default_rng(seq)
-        drawn = draw_probes([rng], cfg.protocol, n_bs, n_ms)
+        drawn = draw_probes([rng], cfg.protocol, n_bs, n_ms, NOISE_VARIANCE)
         block_a, block_b = (ProbeBlock(*(a[0] for a in block)) for block in drawn)
         noise = dpsk_noise([rng], cfg.n_data_symbols)[0] if m == 1 else None
         p_t = 10.0 ** (snr_db / 10.0) * n_ms * NOISE_VARIANCE / h2

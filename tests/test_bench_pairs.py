@@ -1,7 +1,14 @@
-"""tools/bench_pairs.py: reading run.py's output and summarizing alternating pairs."""
+"""tools/bench_pairs.py: reading run.py's output, summarizing alternating pairs, and stopping its runs."""
 
+import contextlib
 import importlib.util
 import json
+import os
+import shutil
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -91,3 +98,60 @@ def test_main_writes_every_run_and_exits_1_on_a_missing_result(bench_pairs, monk
     assert len(calls) == len(bench["runs"]) == 4  # the failed run is written too, with its stderr
     assert ["result" in r for r in bench["runs"]] == [i + 1 != failing_run for i in range(4)]
     assert bench["summary"]["paper"]["trials_per_s"]["pairs"] == (2 if failing_run is None else 1)
+
+
+STAND_IN_RUN = '''
+import os, subprocess, sys, time
+# as run.py starts probe.py: in a session of its own
+child = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)"], start_new_session=True)
+with open("pids.tmp", "w") as fh:
+    fh.write(f"{os.getpgrp()} {os.getpid()} {child.pid}")
+os.rename("pids.tmp", "pids.txt")
+time.sleep(60)
+'''
+
+
+def alive(pid) -> bool:
+    """Whether pid runs: a zombie, which waits only for its reaping, does not."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    with open(f"/proc/{pid}/stat") as fh:
+        return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads process states under /proc")
+def test_sigterm_kills_the_running_benchmark_and_its_children(tmp_path):
+    # the tool in a root of its own, whose parent side runs a stand-in run.py that sleeps beside a child
+    (tmp_path / "tools").mkdir()
+    shutil.copy(TOOL, tmp_path / "tools" / "bench_pairs.py")
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": []}))
+    parent = tmp_path / "parent"
+    (parent / "perfbench").mkdir(parents=True)
+    (parent / "perfbench" / "run.py").write_text(STAND_IN_RUN)
+    tool = subprocess.Popen([sys.executable, str(tmp_path / "tools" / "bench_pairs.py"), "--parent", str(parent),
+                             "--label", "t", "--workload", "paper", "--pairs", "1", "--seconds", "1"],
+                            stderr=subprocess.DEVNULL)
+    pids = parent / "pids.txt"
+    try:
+        deadline = time.monotonic() + 30
+        while not pids.exists() and time.monotonic() < deadline and tool.poll() is None:
+            time.sleep(0.05)
+        assert pids.exists(), "the stand-in run never started"
+        members = [int(pid) for pid in pids.read_text().split()[1:]]  # the stand-in and its child
+        tool.send_signal(signal.SIGTERM)
+        assert tool.wait(timeout=30) == 128 + signal.SIGTERM
+        deadline = time.monotonic() + 10
+        while any(alive(pid) for pid in members) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(alive(pid) for pid in members)
+        assert not (tmp_path / "BENCH_t.json").exists()  # no run finished
+    finally:
+        tool.kill()
+        tool.wait()
+        if pids.exists():
+            group, _, child = map(int, pids.read_text().split())
+            for pgid in (group, child):
+                with contextlib.suppress(ProcessLookupError):
+                    os.killpg(pgid, signal.SIGKILL)

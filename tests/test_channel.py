@@ -134,6 +134,46 @@ class TestSampleChannel:
         want = scattered + math.sqrt(12 * 6 * PATH_GAIN) * np.exp(1j * np.angle(ray.gain)) * outer(ray)
         assert np.linalg.norm(los.h - want) <= 1e-12 * np.linalg.norm(want)
 
+    @staticmethod
+    def scalar_draw_rays(params, rng):
+        """The rays as one scalar rng.uniform or rng.standard_normal call per value drew them."""
+        spread = math.radians(params.cluster_angle_spread_deg)
+        rays = []
+        for n_ray in params.rays_per_cluster:
+            center_bs = rng.uniform(-math.pi / 2, math.pi / 2)
+            center_ms = rng.uniform(-math.pi / 2, math.pi / 2)
+            for _ in range(n_ray):
+                aod = min(max(center_bs + rng.uniform(-spread, spread), -math.pi / 2), math.pi / 2)
+                aoa = min(max(center_ms + rng.uniform(-spread, spread), -math.pi / 2), math.pi / 2)
+                gain = (rng.standard_normal() + 1j * rng.standard_normal()) / math.sqrt(2.0)
+                rays.append(RayParams(gain=gain, attenuation_linear=PATH_GAIN, aod_bs_rad=aod, aoa_ms_rad=aoa))
+        los_present = bool(rng.uniform() < params.los_probability)
+        los_phase = float(rng.uniform(0.0, 2.0 * math.pi))
+        los_aoa = float(rng.uniform(-math.pi / 2, math.pi / 2))
+        los_aod = float(rng.uniform(-math.pi / 2, math.pi / 2))
+        if los_present:
+            los_gain = np.exp(1j * los_phase) * math.sqrt(sum(params.rays_per_cluster))
+            rays.append(RayParams(gain=los_gain, attenuation_linear=PATH_GAIN, aod_bs_rad=los_aod, aoa_ms_rad=los_aoa))
+        return tuple(rays)
+
+    @pytest.mark.parametrize("params", [
+        ChannelParams(),
+        ChannelParams(los_probability=0.5, cluster_angle_spread_deg=40.0),
+        ChannelParams(n_clusters=3, rays_per_cluster=(1, 1, 1), los_probability=1.0),
+    ], ids=["paper", "los-half-40deg", "one-ray-clusters-los"])
+    def test_rays_are_bitwise_the_scalar_draws(self, params):
+        # sample_channel draws each value kind a pair or four at a time, and keeps every double
+        los_seen = set()
+        for seed in range(40):
+            rays = sample_channel(params, ArrayConfig(16), ArrayConfig(8), np.random.default_rng(seed)).rays
+            want = self.scalar_draw_rays(params, np.random.default_rng(seed))
+            # repr tells every double apart, -0.0 from 0.0 too
+            assert repr([(r.gain, r.aod_bs_rad, r.aoa_ms_rad) for r in rays]) == \
+                repr([(r.gain, r.aod_bs_rad, r.aoa_ms_rad) for r in want]), seed
+            assert all(type(x) is float for r in rays for x in (r.aod_bs_rad, r.aoa_ms_rad))
+            los_seen.add(len(rays) > sum(params.rays_per_cluster))
+        assert los_seen == {0.0: {False}, 0.5: {False, True}, 1.0: {True}}[params.los_probability]
+
     def test_svd_is_exact(self):
         rng = np.random.default_rng(5)
         ch = sample_channel(ChannelParams(), ArrayConfig(20), ArrayConfig(10), rng)

@@ -18,7 +18,8 @@ from mmwtrack import (
     spectral_efficiency,
     ChannelParams,
 )
-from mmwtrack.evaluation import dpsk_noise, spectral_efficiency_bound
+from mmwtrack.channel import ChannelRealization
+from mmwtrack.evaluation import dpsk_noise, scale_dpsk_noise, spectral_efficiency_bound
 from util import rand_unitary, scalar_dpsk_ser
 
 
@@ -318,6 +319,62 @@ class TestDpskSer:
         cfg = MetricConfig(psk_order=psk_order, n_data_symbols=n_sym, p_t_bs=gamma * sigma2 / chan.sigma[0] ** 2)
         got = dpsk_ser_trial(chan, beams, cfg, sigma2, np.random.default_rng(psk_order * 100 + int(gamma_db)))
         assert abs(got - exact) <= 4.0 * math.sqrt(exact * (1.0 - exact) / n_sym)
+
+
+class TestDpskDecision:
+    """The decision of each symbol against |arg z| > pi/K by np.angle, for z = y_n conj(y_{n-1}).
+
+    A unit link (1 x 1 channel and beams, gain 1) at sigma2 = 2 (noise scale 1) and one symbol a
+    stream makes each stream's ser that one decision, of y_0 = sqrt(P) + w_0 and y_1 = sqrt(P) + w_1.
+    """
+
+    LINK = ChannelRealization(h=np.ones((1, 1), dtype=complex), u=np.ones((1, 1)), sigma=np.ones(1),
+                              v=np.ones((1, 1)), rays=())
+    BEAMS = EstimatedBeamformers(d_ms=np.ones((1, 1), dtype=complex), d_bs=np.ones((1, 1), dtype=complex))
+
+    def decisions(self, psk_order, powers, w):
+        cfg = MetricConfig(psk_order=psk_order, n_data_symbols=1, p_t_bs=tuple(powers))
+        return dpsk_ser_trial(self.LINK, self.BEAMS, cfg, 2.0, w)
+
+    @staticmethod
+    def by_angle(psk_order, powers, w):
+        y = (w[:, 0] + np.sqrt(powers)[:, None]) + 1j * w[:, 1]
+        return (np.abs(np.angle(y[:, 1] * np.conj(y[:, 0]))) > math.pi / psk_order).astype(float)
+
+    @pytest.mark.parametrize("psk_order", [2, 4, 8, 16, 64])
+    def test_random_draws_decide_as_np_angle(self, psk_order):
+        rng = np.random.default_rng(psk_order)
+        powers = np.repeat([0.001, 0.1, 0.5, 1.0, 2.0, 5.0, 20.0], 3000) ** 2  # the amplitudes sqrt(P) g
+        w = rng.standard_normal((len(powers), 2, 2))
+        got = self.decisions(psk_order, powers, w)
+        want = self.by_angle(psk_order, powers, w)
+        assert 0.0 < want.mean() < 1.0
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("psk_order", [2, 4, 8, 16, 64])
+    def test_ties_decide_as_np_angle(self, psk_order):
+        # y_0 = 1 and y_1 = z: Re z = 0; Im z = +-0 with Re z < 0; |Im z| = Re z, on the boundary at K = 4,
+        # where tan(pi/4) rounds below 1; and z = 0
+        ties = [1j, -1j, 3j, complex(-1.0, 0.0), complex(-1.0, -0.0), complex(-5.0, 0.0), 1 + 1j, 1 - 1j, 4 + 4j, 0j]
+        powers = np.ones(len(ties))
+        w = np.zeros((len(ties), 2, 2))
+        w[:, 0, 1] = [z.real - 1.0 for z in ties]
+        w[:, 1, 1] = [z.imag for z in ties]
+        want = self.by_angle(psk_order, powers, w)
+        assert np.array_equal(self.decisions(psk_order, powers, w), want)
+        assert list(want[:3]) == [psk_order > 2] * 3 and list(want[3:6]) == [1.0] * 3  # Re z = 0, then Re z < 0
+        assert list(want[6:9]) == [psk_order > 4] * 3 and want[9] == 0.0  # |Im z| = Re z, then z = 0
+
+    def test_noise_scaled_once_gives_the_same_ser(self):
+        chan = rank1_channel()
+        powers = (0.05, 0.2, 1.0)
+        beams = EstimatedBeamformers(d_ms=chan.u[:, :1], d_bs=chan.v[:, :1])
+        noise = dpsk_noise([np.random.default_rng(300 + i) for i in range(3)], 3000)
+        for psk_order in (2, 4, 16):
+            cfg = MetricConfig(psk_order=psk_order, n_data_symbols=3000, p_t_bs=powers)
+            prepared = scale_dpsk_noise(noise, 0.3)
+            assert dpsk_ser_trial(chan, beams, cfg, 0.3, prepared).tobytes() == \
+                dpsk_ser_trial(chan, beams, cfg, 0.3, noise).tobytes()
 
 
 def test_metric_config_validation():

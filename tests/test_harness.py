@@ -323,7 +323,8 @@ class TestRunExperiment:
         assert run_experiment(cfg, workers=1) == run_experiment(cfg, workers=2)
         assert multiprocessing.active_children() == []
 
-    def test_workers_are_capped_at_the_trial_count(self, monkeypatch):
+    def test_workers_are_capped_at_the_trial_count(self, monkeypatch, cpus):
+        cpus(64)
         cfg = load_config(SEVEN_TRIALS)  # on 64 workers: 7 chunks of one trial
         assert run_experiment(cfg, workers=64) == run_experiment(cfg)
         monkeypatch.setattr(harness, "_chunk_records", report_pid)
@@ -505,8 +506,20 @@ def fixed_chunks(b):
     return plan
 
 
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the CPUs this process may run on, which cap the worker count, to a count of cpus(n)."""
+    def set_count(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    return set_count
+
+
 class TestChunks:
     """The chunk plan follows a trial's probe bytes and the pool width; records do not depend on it."""
+
+    @pytest.fixture(autouse=True)
+    def many_cpus(self, cpus):
+        cpus(64)  # widths above this machine's CPUs, as on a larger one
 
     @staticmethod
     def sizes(text, workers, **keys) -> tuple:
@@ -518,7 +531,8 @@ class TestChunks:
     def trial_bytes(cfg) -> int:
         """One trial's drawn ProbeBlocks, in bytes, measured on the blocks draw_probes returns."""
         rngs = [np.random.default_rng(0) for _ in cfg.snr_grid_db]
-        return sum(a.nbytes for block in protocol.draw_probes(rngs, cfg.protocol, cfg.n_bs, cfg.n_ms) for a in block)
+        blocks = protocol.draw_probes(rngs, cfg.protocol, cfg.n_bs, cfg.n_ms, harness.NOISE_VARIANCE)
+        return sum(a.nbytes for block in blocks for a in block)
 
     def test_every_trial_lands_in_exactly_one_chunk_in_order(self):
         for text in (SMALL, REDUCED_2W, PAPER_SETUP):
@@ -539,22 +553,32 @@ class TestChunks:
 
     def test_a_chunk_holds_its_probe_bytes_within_the_budget(self):
         # 16 x 8 at 7 SNR points: 7 x (30 x 16 + 16 x 30 x 8 + 30 x 1 + 16 x 30 x 16) = 84 210 bytes a trial
-        assert self.sizes(REDUCED_2W, 1, n_trials=17) == ([17], 1)
-        assert self.sizes(REDUCED_2W, 1, n_trials=18) == ([9, 9], 1)
-        assert self.sizes(REDUCED_2W, 1, n_trials=40) == ([14, 13, 13], 1)
-        assert self.sizes(REDUCED_2W, 2, n_trials=40) == ([10] * 4, 2)  # 4 chunks, not 3 on 2 workers
+        assert self.sizes(REDUCED_2W, 1, n_trials=32) == ([32], 1)
+        assert self.sizes(REDUCED_2W, 1, n_trials=33) == ([17, 16], 1)
+        assert self.sizes(REDUCED_2W, 1, n_trials=70) == ([24, 23, 23], 1)
+        assert self.sizes(REDUCED_2W, 2, n_trials=70) == ([18, 18, 17, 17], 2)  # 4 chunks, not 3 on 2 workers
         assert self.sizes(REDUCED_2W, 4, n_trials=9) == ([3, 2, 2, 2], 4)  # every worker gets a chunk
-        assert self.sizes(REDUCED_2W, 8, n_trials=200) == ([13] * 8 + [12] * 8, 8)  # the acceptance run
+        assert self.sizes(REDUCED_2W, 8, n_trials=200) == ([25] * 8, 8)  # the acceptance run
 
     @pytest.mark.parametrize("m", [1, 2], ids=["paper", "mimo2"])
-    def test_paper_geometries_plan_chunks_of_3(self, m):
+    def test_paper_geometries_plan_chunks_of_6(self, m):
         # 100 x 30 at 7 SNR points: 7 x (30 x 100 + 16 x 30 x 30 + 30 m + 16 x 30 x 100), about 458 KB a trial
         text = PAPER_SETUP + f"multiplexing_order = {m}\n"
-        assert self.sizes(text, 1, n_trials=3) == ([3], 1)
-        assert self.sizes(text, 1, n_trials=4) == ([2, 2], 1)
-        assert self.sizes(text, 1, n_trials=12) == ([3] * 4, 1)  # the paper workload
-        assert self.sizes(text, 1, n_trials=16) == ([3] * 4 + [2] * 2, 1)  # the mimo2 workload
-        assert self.sizes(text, 8, n_trials=200) == ([3] * 56 + [2] * 16, 8)  # the acceptance runs: 25 a worker
+        assert self.sizes(text, 1, n_trials=6) == ([6], 1)
+        assert self.sizes(text, 1, n_trials=7) == ([4, 3], 1)
+        assert self.sizes(text, 1, n_trials=12) == ([6, 6], 1)  # the paper workload
+        assert self.sizes(text, 1, n_trials=16) == ([6, 5, 5], 1)  # the mimo2 workload
+        assert self.sizes(text, 8, n_trials=200) == ([5] * 40, 8)  # the acceptance runs: 25 a worker
+        assert self.sizes(text, 2, n_trials=200) == ([6] * 30 + [5] * 4, 2)  # the same on 2 CPUs
+
+    def test_the_width_is_capped_at_the_cpus(self, cpus, monkeypatch):
+        cfg = load_config(SEVEN_TRIALS)
+        for n_cpus, width in ((1, 1), (2, 2), (3, 3), (64, 7)):  # 8 workers asked for, 7 trials
+            cpus(n_cpus)
+            assert harness.plan_chunks(cfg, 8)[1] == width
+        cpus(2)
+        monkeypatch.setattr(harness, "_chunk_records", report_pid)
+        assert len(set(run_experiment(cfg, workers=8))) == 2  # the caller and one forked worker
 
     def test_reduced_2w_plans_2_chunks_of_8(self):
         assert self.sizes(REDUCED_2W, 2) == ([8, 8], 2)
@@ -569,11 +593,11 @@ class TestChunks:
         (SEVEN_TRIALS, 1, 7),
         (SEVEN_TRIALS, 2, 4),
         (SEVEN_TRIALS, 3, 3),  # chunks of 3, 2, 2 on 3 workers
-        (PAPER_SETUP + "n_trials = 7\nn_data_symbols = 200\n", 1, 3),
-        (PAPER_SETUP + "n_trials = 7\nn_data_symbols = 200\n", 2, 2),
+        (PAPER_SETUP + "n_trials = 7\nn_data_symbols = 200\n", 1, 4),
+        (PAPER_SETUP + "n_trials = 7\nn_data_symbols = 200\n", 2, 4),
         (PAPER_SETUP + "n_trials = 7\nn_data_symbols = 200\n", 3, 3),  # chunks of 3, 2, 2 on 3 workers
-        (PAPER_SETUP + "n_trials = 7\nmultiplexing_order = 2\n", 1, 3),
-        (PAPER_SETUP + "n_trials = 7\nmultiplexing_order = 2\n", 2, 2),
+        (PAPER_SETUP + "n_trials = 7\nmultiplexing_order = 2\n", 1, 4),
+        (PAPER_SETUP + "n_trials = 7\nmultiplexing_order = 2\n", 2, 4),
     ], ids=["reduced", "reduced-2-workers", "reduced-3-workers", "paper", "paper-2-workers", "paper-3-workers",
          "paper-m2", "paper-m2-2-workers"])
     def test_one_trial_chunks_give_the_same_bytes(self, monkeypatch, tmp_path, text, workers, planned):
@@ -858,7 +882,8 @@ class TestCli:
         emit_csv(run_experiment(cfg), tmp_path / "direct")
         assert (out / "records.csv").read_bytes() == (tmp_path / "direct" / "records.csv").read_bytes()
 
-    def test_manifest_names_the_workers_that_ran(self, tmp_path):
+    def test_manifest_names_the_workers_that_ran(self, tmp_path, cpus):
+        cpus(64)
         path = tmp_path / "cfg.txt"
         path.write_text(SEVEN_TRIALS)  # 7 chunks of 1: a pool of 7, not of the 16 asked for
         out = tmp_path / "out"
@@ -867,6 +892,14 @@ class TestCli:
         assert fields["workers"] == "7" and fields["chunk_trials"] == "1"
         assert cli_main(["simulate", "--config", str(path), "--out", str(out), "--threads", "2"]) == 0
         fields = dict(line.split(" = ", 1) for line in (out / "manifest.txt").read_text().splitlines())
+        assert fields["workers"] == "2" and fields["chunk_trials"] == "4"
+
+    def test_manifest_names_the_width_capped_at_the_cpus(self, tmp_path, cpus):
+        path = tmp_path / "cfg.txt"
+        path.write_text(SEVEN_TRIALS)
+        cpus(2)  # 8 asked for on 2 CPUs: chunks of 4 and 3 on 2 workers
+        assert cli_main(["simulate", "--config", str(path), "--out", str(tmp_path / "out"), "--threads", "8"]) == 0
+        fields = dict(line.split(" = ", 1) for line in (tmp_path / "out" / "manifest.txt").read_text().splitlines())
         assert fields["workers"] == "2" and fields["chunk_trials"] == "4"
 
     @pytest.mark.parametrize("snr_db, accepted", [(-3131.0, True), (2972.5, True), (-3131.5, False), (2973.0, False)])

@@ -34,9 +34,9 @@ def small_cfg(**kw):
     return ProtocolConfig(**defaults)
 
 
-def one_stream(cfg, seed, n_bs=16, n_ms=8):
-    """One stream's drawn (phase a, phase b) blocks, from default_rng(seed)."""
-    drawn = protocol.draw_probes([np.random.default_rng(seed)], cfg, n_bs, n_ms)
+def one_stream(cfg, seed, sigma2_n, n_bs=16, n_ms=8):
+    """One stream's drawn (phase a, phase b) blocks at noise power sigma2_n, from default_rng(seed)."""
+    drawn = protocol.draw_probes([np.random.default_rng(seed)], cfg, n_bs, n_ms, sigma2_n)
     return [ProbeBlock(*(a[0] for a in block)) for block in drawn]
 
 
@@ -66,12 +66,12 @@ class TestPhaseA:
     def test_noiseless_rank1_exact(self):
         chan = rank1_channel()
         cfg = small_cfg()
-        d_ms = run_phase_a(chan, cfg, None, 0.0, one_stream(cfg, 0)[0])
+        d_ms = run_phase_a(chan, cfg, None, one_stream(cfg, 0, 0.0)[0])
         assert normalized_correlation(d_ms[:, 0], chan.u[:, 0]) >= 0.999
 
     def test_zero_channel_fallback_frame(self):
         chan = assemble_channel(ArrayConfig(16), ArrayConfig(8), (), gamma=1.0)
-        d_ms = run_phase_a(chan, small_cfg(m=2), None, 0.0, one_stream(small_cfg(m=2), 0)[0])
+        d_ms = run_phase_a(chan, small_cfg(m=2), None, one_stream(small_cfg(m=2), 0, 0.0)[0])
         assert d_ms.shape == (8, 2)
         np.testing.assert_allclose(np.linalg.norm(d_ms, axis=0), 1.0, atol=1e-12)
 
@@ -79,12 +79,12 @@ class TestPhaseA:
         chan = rank1_channel()
         cfg = small_cfg(mode="hy")
         front = make_front_end(ArrayConfig(16), ArrayConfig(8), cfg)
-        d_bb = run_phase_a(chan, cfg, front, 0.0, one_stream(cfg, 0)[0])
+        d_bb = run_phase_a(chan, cfg, front, one_stream(cfg, 0, 0.0)[0])
         assert d_bb.shape == (cfg.n_rf_ms, 1)
 
     def test_hybrid_requires_front_end(self):
         with pytest.raises(ValueError):
-            run_phase_a(rank1_channel(), small_cfg(mode="hy"), None, 0.0, one_stream(small_cfg(), 0)[0])
+            run_phase_a(rank1_channel(), small_cfg(mode="hy"), None, one_stream(small_cfg(), 0, 0.0)[0])
         with pytest.raises(ValueError, match="HybridFrontEnd"):
             run_protocol(rank1_channel(), small_cfg(mode="hy"), None, 0.0, np.random.default_rng(0))
 
@@ -92,7 +92,7 @@ class TestPhaseA:
 class TestPhaseB:
     def test_noiseless_rank1_with_exact_precoder(self):
         chan = rank1_channel()
-        d_bs = run_phase_b(chan, chan.u[:, :1], small_cfg(), None, 0.0, one_stream(small_cfg(), 1)[1])
+        d_bs = run_phase_b(chan, chan.u[:, :1], small_cfg(), None, one_stream(small_cfg(), 1, 0.0)[1])
         assert normalized_correlation(d_bs[:, 0], chan.v[:, 0]) >= 0.999
 
     def test_orthogonal_precoder_degenerates_cleanly(self):
@@ -103,14 +103,14 @@ class TestPhaseB:
         e[0] = 1.0
         d_perp = e - u * np.vdot(u, e)
         d_perp = (d_perp / np.linalg.norm(d_perp))[:, None]
-        d_bs = run_phase_b(chan, d_perp, small_cfg(), None, 0.0, one_stream(small_cfg(), 1)[1])
+        d_bs = run_phase_b(chan, d_perp, small_cfg(), None, one_stream(small_cfg(), 1, 0.0)[1])
         assert d_bs.shape == (16, 1)
         assert np.all(np.isfinite(d_bs))
 
     def test_dimension_check(self):
         chan = rank1_channel()
         with pytest.raises(ValueError):
-            run_phase_b(chan, np.ones((5, 1)), small_cfg(), None, 0.0, one_stream(small_cfg(), 0)[1])
+            run_phase_b(chan, np.ones((5, 1)), small_cfg(), None, one_stream(small_cfg(), 0, 0.0)[1])
 
 
 class TestGridBeamspace:
@@ -206,11 +206,11 @@ class TestRunProtocol:
         for seed in range(40):
             chan = rank1_channel(gain=rng.standard_normal() + 1j * rng.standard_normal())
             cfg = small_cfg()
-            d_ms_est = run_phase_a(chan, cfg, None, sigma2, one_stream(cfg, 100 + seed)[0])
+            d_ms_est = run_phase_a(chan, cfg, None, one_stream(cfg, 100 + seed, sigma2)[0])
             d_ms_est /= np.linalg.norm(d_ms_est, axis=0)
-            block_b = one_stream(cfg, 200 + seed)[1]  # both precoders probe with the same draws
-            d_bs_t = run_phase_b(chan, d_ms_est, cfg, None, sigma2, block_b)
-            d_bs_o = run_phase_b(chan, chan.u[:, :1], cfg, None, sigma2, block_b)
+            block_b = one_stream(cfg, 200 + seed, sigma2)[1]  # both precoders probe with the same draws
+            d_bs_t = run_phase_b(chan, d_ms_est, cfg, None, block_b)
+            d_bs_o = run_phase_b(chan, chan.u[:, :1], cfg, None, block_b)
             tracked_scores.append(normalized_correlation(d_bs_t[:, 0], chan.v[:, 0]))
             oracle_scores.append(normalized_correlation(d_bs_o[:, 0], chan.v[:, 0]))
         assert np.mean(oracle_scores) >= np.mean(tracked_scores)
@@ -245,7 +245,7 @@ class TestRunProtocol:
 
     @pytest.mark.parametrize("scale", [0.0, math.inf, (1.0, math.nan)])
     def test_power_scale_must_be_finite_and_positive(self, scale):
-        blocks = protocol.draw_probes([np.random.default_rng(i) for i in range(2)], small_cfg(), 16, 8)
+        blocks = protocol.draw_probes([np.random.default_rng(i) for i in range(2)], small_cfg(), 16, 8, 0.1)
         with pytest.raises(ValueError, match="power must be finite and > 0"):
             run_protocol(rank1_channel(), small_cfg(), None, 0.1, blocks, power=scale)
 
@@ -279,7 +279,7 @@ class TestProbingContract:
         cfg = small_cfg(p_ms=25)
         streams = capture_streams(monkeypatch)
         beams = run_protocol(chan, cfg, None, self.SIGMA2, np.random.default_rng(self.SEED), power=self.RHO)
-        drawn = run_protocol(chan, cfg, None, self.SIGMA2, one_stream(cfg, self.SEED), power=self.RHO)
+        drawn = run_protocol(chan, cfg, None, self.SIGMA2, one_stream(cfg, self.SEED, self.SIGMA2), power=self.RHO)
         assert beams.d_ms.tobytes() == drawn.d_ms.tobytes() and beams.d_bs.tobytes() == drawn.d_bs.tobytes()
         assert all(a.tobytes() == b.tobytes() for a, b in zip(streams[:2], streams[2:], strict=True))
         rng = np.random.default_rng(self.SEED)
@@ -293,10 +293,10 @@ class TestProbingContract:
         fd = small_cfg()
         hy = small_cfg(mode="hy")
         front = make_front_end(ArrayConfig(16), ArrayConfig(8), hy)
-        block_a = one_stream(fd, self.SEED)[0]
+        block_a = one_stream(fd, self.SEED, self.SIGMA2)[0]
         streams = capture_streams(monkeypatch)
-        run_phase_a(chan, fd, None, self.SIGMA2, block_a, self.RHO)
-        run_phase_a(chan, hy, front, self.SIGMA2, block_a, self.RHO)
+        run_phase_a(chan, fd, None, block_a, self.RHO)
+        run_phase_a(chan, hy, front, block_a, self.RHO)
         assert streams[1].shape == (30, hy.n_rf_ms)
         np.testing.assert_allclose(streams[1], streams[0] @ front.d_ms_rf.conj(), rtol=1e-12)
 
@@ -329,7 +329,7 @@ class TestStackedStreams:
         front = make_front_end(ArrayConfig(16), ArrayConfig(8), cfg) if mode == "hy" else None
         seeds = range(20, 27)
         rngs = [np.random.default_rng(seed) for seed in seeds]
-        stacked = run_protocol(chan, cfg, front, 0.3, protocol.draw_probes(rngs, cfg, 16, 8), self.POWERS)
+        stacked = run_protocol(chan, cfg, front, 0.3, protocol.draw_probes(rngs, cfg, 16, 8, 0.3), self.POWERS)
         assert stacked.d_ms.shape == (7, 8, m) and stacked.d_bs.shape == (7, 16, m)
         for i, (seed, rho) in enumerate(zip(seeds, self.POWERS)):
             one = run_protocol(chan, cfg, front, 0.3, np.random.default_rng(seed), rho)
@@ -346,7 +346,7 @@ class TestStackedStreams:
         front = make_front_end(ArrayConfig(16), ArrayConfig(8), cfg) if mode == "hy" else None
         seeds = range(40, 47)
         drawn = [np.random.default_rng(seed) for seed in seeds]
-        blocks = protocol.draw_probes(drawn, cfg, 16, 8)
+        blocks = protocol.draw_probes(drawn, cfg, 16, 8, 0.3)
         before = [a.copy() for block in blocks for a in block]
         from_blocks = run_protocol(chan, cfg, front, 0.3, blocks, self.POWERS)
         assert from_blocks.d_ms.shape == (7, 8, m) and from_blocks.d_bs.shape == (7, 16, m)
@@ -355,6 +355,6 @@ class TestStackedStreams:
 
     def test_block_with_the_wrong_probe_count_rejected(self):
         chan = rank1_channel()
-        block, _ = protocol.draw_probes([np.random.default_rng(0)], small_cfg(p_bs=20), 16, 8)
+        block, _ = protocol.draw_probes([np.random.default_rng(0)], small_cfg(p_bs=20), 16, 8, 0.1)
         with pytest.raises(ValueError, match="20 probes, expected 30"):
-            run_phase_a(chan, small_cfg(), None, 0.1, block)
+            run_phase_a(chan, small_cfg(), None, block)

@@ -16,13 +16,16 @@ after writing the file, when any of its runs printed no result.
         --pairs 4 --seconds 35 --seed 201 --append
 
 Each side runs its own ``perfbench/run.py`` from its own root, which this tool
-only reads. Every run is a child process in its own session; on a timeout or an
-interrupt its whole process group is killed before the tool exits.
+only reads. Every run is a child process in its own session; on a timeout, an
+interrupt or a SIGTERM its whole process group, and the group of each process
+it started, are killed before the tool exits (with status 143 on a SIGTERM).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import glob
 import json
 import os
 import signal
@@ -91,18 +94,58 @@ def summarize(runs: list, better: dict) -> dict:
     return summary
 
 
+def _descendants(pid: int) -> list:
+    """Every descendant of pid, by the parent pids under /proc; none where /proc has no process entries."""
+    children = {}
+    for stat in glob.glob("/proc/[0-9]*/stat"):
+        with contextlib.suppress(OSError):  # a process that exits while it is read
+            with open(stat, encoding="utf-8") as fh:
+                ppid = int(fh.read().rsplit(")", 1)[1].split()[1])
+            children.setdefault(ppid, []).append(int(stat.split("/")[2]))
+    found, todo = [], [pid]
+    while todo:
+        kids = children.get(todo.pop(), [])
+        found += kids
+        todo += kids
+    return found
+
+
+def _kill_run(pid: int) -> None:
+    """SIGKILL a run's process group, led by pid, and every process group of its descendants: run.py
+    starts each probe.py in a session of its own. The run's group is stopped first, so that no
+    process starts between the look-up and the kill."""
+    with contextlib.suppress(ProcessLookupError):
+        os.killpg(pid, signal.SIGSTOP)
+    groups = {pid}
+    for child in _descendants(pid):
+        with contextlib.suppress(ProcessLookupError):
+            groups.add(os.getpgid(child))
+    for group in groups:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(group, signal.SIGKILL)
+
+
+def _terminated(signum, frame):
+    """SIGTERM as an exception, which run_once's cleanup sees; its default action would skip it."""
+    raise SystemExit(128 + signum)
+
+
 def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     """One run.py invocation in root; its env and result, or its return code and stderr tail."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
-    proc = subprocess.Popen(cmd, cwd=root, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                            text=True, start_new_session=True)
+    previous = signal.signal(signal.SIGTERM, _terminated)
     try:
-        out, err = proc.communicate(timeout=seconds + RUN_TIMEOUT_PAD_S)
-    except BaseException:  # a timeout or an interrupt: leave no process of the run behind
-        os.killpg(proc.pid, signal.SIGKILL)
-        proc.wait()
-        raise
+        proc = subprocess.Popen(cmd, cwd=root, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                text=True, start_new_session=True)
+        try:
+            out, err = proc.communicate(timeout=seconds + RUN_TIMEOUT_PAD_S)
+        except BaseException:  # a timeout, an interrupt or a SIGTERM: leave no process of the run behind
+            _kill_run(proc.pid)
+            proc.wait()
+            raise
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     record = {"returncode": proc.returncode}
     try:
         record["env"], record["result"] = parse_run(out)
