@@ -15,7 +15,7 @@ from .protocol import EstimatedBeamformers
 class MetricConfig:
     psk_order: int = 16
     n_data_symbols: int = 10_000
-    p_t_bs: float | tuple = 1.0  # a tuple: one per stream of a stack
+    p_t_bs: float | tuple = 1.0  # an array or a tuple: one per stream of a stack
 
     def __post_init__(self):
         if self.psk_order < 2 or self.psk_order & (self.psk_order - 1):
@@ -65,19 +65,14 @@ def spectral_efficiency_bound(sigma, p_t_bs, sigma2_n: float):
     return float(bound) if bound.ndim == 0 else bound
 
 
-def dpsk_noise(rngs, n_data_symbols: int) -> np.ndarray:
-    """Each generator's unit-variance DPSK noise: n + 1 real parts, then n + 1 imaginary parts."""
+def dpsk_noise(rngs, n_data_symbols: int, sigma2_n: float) -> tuple:
+    """Each generator's DPSK noise, n + 1 real parts then n + 1 imaginary parts, prepared once for every variant
+    of a trial at sigma2_n: (a_n, b_n, b_n b_{n-1}), the parts times sqrt(sigma2_n / 2), a row per generator."""
     w = np.empty((len(rngs), 2, n_data_symbols + 1))
     for i, gen in enumerate(rngs):
         gen.standard_normal(out=w[i])
-    return w
-
-
-def scale_dpsk_noise(w, sigma2_n: float) -> tuple:
-    """Drawn (S, 2, n + 1) noise w at sigma2_n, prepared once for every variant of a trial: its real
-    parts a_n and imaginary parts b_n, each times sqrt(sigma2_n / 2), and b_n b_{n-1}, which no gain moves."""
-    a, b = np.moveaxis(w * math.sqrt(sigma2_n / 2.0), 1, 0)
-    return a, b, b[:, 1:] * b[:, :-1]
+    w *= math.sqrt(sigma2_n / 2.0)
+    return w[:, 0], w[:, 1], w[:, 1, 1:] * w[:, 1, :-1]
 
 
 def dpsk_ser_trial(
@@ -95,10 +90,10 @@ def dpsk_ser_trial(
     the detector sees y_n = sqrt(P) g + w_n whatever was sent: only w_n is drawn,
     real parts then imaginary parts, and symbol n is in error when
     |arg(y_n conj(y_{n-1}))| > pi/K. rng is one Generator, which draws one
-    stream's noise now and gives a float, or drawn (S, 2, n + 1) noise from
-    dpsk_noise, which is only read and gives S values: one per stream, each with
-    its own cfg.p_t_bs and optionally its own beams (a leading stream axis), or
-    that noise as scale_dpsk_noise prepared it at this sigma2_n.
+    stream's noise now and gives a float, or the triple that dpsk_noise drew for
+    S streams at this sigma2_n, which is only read and gives S values: one per
+    stream, each with its own cfg.p_t_bs and optionally its own beams (a leading
+    stream axis).
     """
     if beams.d_ms.shape[-1] != 1 or beams.d_bs.shape[-1] != 1:
         raise ValueError("differential SER supports multiplexing order 1 only")
@@ -111,8 +106,9 @@ def dpsk_ser_trial(
     single = isinstance(rng, np.random.Generator)
     if single and (gain.ndim > 0 or np.ndim(cfg.p_t_bs) > 0):
         raise ValueError("one Generator scores one stream: draw a stack's noise with dpsk_noise")
-    w = dpsk_noise([rng], cfg.n_data_symbols) if single else rng
-    re, im, im_im = w if isinstance(w, tuple) else scale_dpsk_noise(w, sigma2_n)
+    if not (single or isinstance(rng, tuple) and len(rng) == 3):
+        raise ValueError(f"noise is a Generator or the triple dpsk_noise returns, not {type(rng).__name__}")
+    re, im, im_im = dpsk_noise([rng], cfg.n_data_symbols, sigma2_n) if single else rng
     if re.shape[-1] != cfg.n_data_symbols + 1:
         raise ValueError(f"noise has {re.shape[-1]} samples, expected {cfg.n_data_symbols + 1}")
     a = re + (np.sqrt(np.broadcast_to(cfg.p_t_bs, len(re))) * gain)[:, None]  # Re y_n; Im y_n is im

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .channel import NOISE_VARIANCE, PATH_GAIN, ArrayConfig, ChannelParams, ChannelRealization, sample_channel
-from .evaluation import MetricConfig, dpsk_noise, dpsk_ser_trial, normalized_correlation, scale_dpsk_noise
+from .evaluation import MetricConfig, dpsk_noise, dpsk_ser_trial, normalized_correlation
 from .evaluation import spectral_efficiency, spectral_efficiency_bound
 from .protocol import EstimatedBeamformers, HybridFrontEnd, ProtocolConfig, TrackerSpec
 from .protocol import ProbeBlock, draw_probes, make_front_end, run_protocol
@@ -203,9 +203,7 @@ def load_config(source) -> ExperimentConfig:
 
 
 def _fmt_value(value) -> str:
-    """A config value or CSV cell: floats to 17 significant digits, None as the empty cell."""
-    if value is None:
-        return ""
+    """A config value or CSV cell: floats to 17 significant digits."""
     if isinstance(value, tuple):
         return ",".join(_fmt_value(v) for v in value)
     if isinstance(value, float):
@@ -337,7 +335,7 @@ def _dpsk(cfg: ExperimentConfig, chunk, beams: dict, powers, rngs: list, tables:
     for b, t in enumerate(trials if cfg.protocol.m == 1 else ()):
         chan = ChannelRealization(chunk.h[b, 0], chunk.u[b, 0], chunk.sigma[b, 0], chunk.v[b, 0], chunk.rays[b])
         mcfg = replace(cfg.metrics, p_t_bs=powers[b])
-        noise = scale_dpsk_noise(dpsk_noise(rngs[b], cfg.metrics.n_data_symbols), NOISE_VARIANCE)
+        noise = dpsk_noise(rngs[b], cfg.metrics.n_data_symbols, NOISE_VARIANCE)
         for name, table in tables.items():
             with _named((name,), (t,), cfg.snr_grid_db, seeds[b:b + 1]):
                 trial_beams = EstimatedBeamformers(beams[name].d_ms[b], beams[name].d_bs[b])
@@ -389,15 +387,9 @@ def _openblas():
     return None
 
 
-def _share_records(cfg: ExperimentConfig, share: tuple) -> list | tuple:
-    """A worker's chunks in order: their records, or (position in share, exception) at the first that fails."""
-    done = []
-    for trials in share:
-        try:
-            done.append(_chunk_records(cfg, trials))
-        except Exception as exc:  # run_experiment raises the lowest-numbered chunk's error
-            return len(done), exc
-    return done
+def _share_records(cfg: ExperimentConfig, share: tuple) -> list:
+    """A worker's chunks in order: each trial's records; the first chunk that fails raises its error."""
+    return [records for trials in share for records in _chunk_records(cfg, trials)]
 
 
 class _RemoteTraceback(Exception):
@@ -406,33 +398,34 @@ class _RemoteTraceback(Exception):
 
 def _send_share(conn, cfg: ExperimentConfig, share: tuple) -> None:
     """A forked worker: _share_records, sent on its one-way pipe. Pickling keeps an error's message but
-    drops its frames and its cause, so a failure also sends the formatted traceback as text."""
-    outcome = _share_records(cfg, share)
-    if isinstance(outcome, tuple):
+    drops its frames and its cause, so a failure sends (exception, formatted traceback as text)."""
+    try:
+        outcome = _share_records(cfg, share)
+    except Exception as exc:
         import traceback  # here, not at the top: only a failing worker needs it, and every run imports this module
-        outcome += ("".join(traceback.format_exception(outcome[1])),)
+        outcome = exc, "".join(traceback.format_exception(exc))
     conn.send(outcome)
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list:
     """All trial records for a config, ordered by (variant, SNR, trial).
 
-    Chunk j of plan_chunks(cfg, workers) runs on worker j % width: worker 0 is
-    the caller, and each other is forked once and sends its records on a pipe.
-    No record's bytes depend on the plan or the width. Every fork is joined;
-    then the lowest-numbered failing chunk's error is raised, with a forked
-    worker's traceback as its __cause__, and a worker that exits without
-    sending fails its first chunk with a RuntimeError naming it, its trials
-    and its exit code. It first sets numpy's bundled OpenBLAS to one thread,
-    and leaves it there (any other BLAS is left alone): a trial's small
-    products gain little from a second thread, which spins between calls, and
-    the forked workers inherit the count. Record bytes do not depend on it.
+    The k chunks of plan_chunks(cfg, workers) run in width contiguous shares: worker w runs chunks
+    w k // width up to (w + 1) k // width, so its chunks all come before worker w + 1's. Worker 0 is
+    the caller, and each other is forked once and sends its records on a pipe. No record's bytes
+    depend on the plan or the width. Every fork is joined; then the first failing worker's error,
+    the lowest-numbered failing chunk's, is raised, with a forked worker's traceback as its
+    __cause__, and a worker that exits without sending fails with a RuntimeError naming it, its
+    trials and its exit code. It first sets numpy's bundled OpenBLAS to one thread, and leaves it
+    there (any other BLAS is left alone): a trial's small products gain little from a second
+    thread, which spins between calls, and the forked workers inherit the count. Record bytes do
+    not depend on it.
     """
     lib = _openblas()
     if lib is not None:
         lib.scipy_openblas_set_num_threads64_(1)
     chunks, width = plan_chunks(cfg, workers)
-    shares = [chunks[w::width] for w in range(width)]
+    shares = [chunks[w * len(chunks) // width:(w + 1) * len(chunks) // width] for w in range(width)]
     fork = multiprocessing.get_context("fork")
     outcomes, forked = [], []  # forked: each forked worker's (read end, process)
     try:
@@ -441,27 +434,29 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list:
             (child := fork.Process(target=_send_share, args=(send, cfg, share))).start()
             forked.append((recv, child))
             send.close()  # the child holds the only write end, so its exit ends the pipe
-        outcomes.append(_share_records(cfg, shares[0]))
+        try:
+            outcomes.append(_share_records(cfg, shares[0]))
+        except Exception as exc:
+            outcomes.append(exc)
         for w, (recv, child) in enumerate(forked, start=1):
             try:
                 outcomes.append(recv.recv())
             except (EOFError, OSError):  # the pipe ended without a whole message
                 child.join()
-                outcomes.append((0, RuntimeError(f"worker {w} (trials {[t for c in shares[w] for t in c]}) "
-                                                 f"exited with code {child.exitcode} before sending its records")))
+                outcomes.append(RuntimeError(f"worker {w} (trials {[t for c in shares[w] for t in c]}) "
+                                             f"exited with code {child.exitcode} before sending its records"))
     finally:
         for recv, child in forked:
             if len(outcomes) < width:  # interrupted before every share came back: the rest is not needed
                 child.kill()
             child.join()
             recv.close()
-    failed = [(w + outcome[0] * width, w) for w, outcome in enumerate(outcomes) if isinstance(outcome, tuple)]
-    if failed:
-        _, exc, *remote = outcomes[min(failed)[1]]
-        if remote:  # a forked worker's error, with that worker's traceback
-            raise exc from _RemoteTraceback("\n" + remote[0])
-        raise exc
-    per_trial = [records for j in range(len(chunks)) for records in outcomes[j % width][j // width]]
+    for outcome in outcomes:  # in worker order, so the first error is the lowest-numbered failing chunk's
+        if isinstance(outcome, Exception):
+            raise outcome
+        if isinstance(outcome, tuple):  # a forked worker's error, with that worker's traceback
+            raise outcome[0] from _RemoteTraceback("\n" + outcome[1])
+    per_trial = [records for outcome in outcomes for records in outcome]
     # each trial lists its records in (variant, SNR) order: the k-th of every trial, in trial order
     return [rec for same_k in zip(*per_trial) for rec in same_k]
 

@@ -179,19 +179,17 @@ def _combiners(cfg: ProtocolConfig, front: HybridFrontEnd | None):
     return front.d_ms_rf, front.d_bs_rf
 
 
-def run_phase_a(chan: ChannelRealization, cfg, front: HybridFrontEnd | None, block: ProbeBlock, power=1.0):
-    """Downlink probing with phase (a)'s drawn block at power, a scalar or one per stream; returns
-    the tracked left-subspace basis, with the block's leading (stream) axes, against which chan.h's
-    broadcast. Full antenna dimension in FD mode, RF-chain dimension in hybrid mode. A tuple of configs
-    that differ only in mode and tracker gives a tuple of bases, the rows warm-started once per mode."""
-    cfgs = cfg if isinstance(cfg, tuple) else (cfg,)
+def run_phase_a(chan: ChannelRealization, cfgs: tuple, front: HybridFrontEnd | None, block: ProbeBlock, power=1.0):
+    """Downlink probing with phase (a)'s drawn block at power, a scalar or one per stream, for a tuple of
+    configs that differ only in mode and tracker; returns each config's tracked left-subspace basis, with
+    the block's leading (stream) axes, against which chan.h's broadcast. Full antenna dimension in FD
+    mode, RF-chain dimension in hybrid mode. The rows are formed once and warm-started once per mode."""
     if any(replace(c, mode=cfgs[0].mode, tracker=cfgs[0].tracker) != cfgs[0] for c in cfgs[1:]):
         raise ValueError("configs probed together may differ only in mode and tracker")
     r = _received(chan.h, cfgs[0].p_bs, block, power)
     modes = {c.mode: c for c in cfgs}  # a warm start reads nothing else in which they differ
     starts = {mode: _warm_start(r, _combiners(c, front)[0], c) for mode, c in modes.items()}
-    bases = tuple(_track(*starts[c.mode], c) for c in cfgs)
-    return bases if isinstance(cfg, tuple) else bases[0]
+    return tuple(_track(*starts[c.mode], c) for c in cfgs)
 
 
 def run_phase_b(chan: ChannelRealization, d_ms: np.ndarray, cfg: ProtocolConfig, front: HybridFrontEnd | None,
@@ -211,8 +209,8 @@ def run_protocol(chan: ChannelRealization, cfg, front: HybridFrontEnd | None, si
     probes is one Generator, from which draw_probes draws one stream's blocks at noise power sigma2_n,
     or the (phase a, phase b) blocks that draw_probes drew for a stack of streams, which hold their
     noise, each stream at its own power: every beamformer gains the stack's leading axes, against
-    which chan.h's broadcast. A tuple of configs, as in run_phase_a, shares phase (a) and gives a
-    tuple of beamformers.
+    which chan.h's broadcast. A tuple of configs that differ only in mode and tracker shares phase (a),
+    as run_phase_a does, and gives a tuple of beamformers.
     """
     cfgs = cfg if isinstance(cfg, tuple) else (cfg,)
     if isinstance(probes, np.random.Generator):

@@ -3,9 +3,10 @@
 It recomputes the records of one trial of `run_experiment` one variant, one SNR
 point and one sample at a time, from the same random draws: the channel from
 the `(0, trial)` key, and per (SNR point, trial) the `(1, SNR index, trial)`
-generator, which draws phase (a)'s probe block, phase (b)'s, then the DPSK
-noise, through the engine's own `draw_probes` and `dpsk_noise`. Everything
-after the draws is written here from the equations:
+generator, which draws phase (a)'s probe block and phase (b)'s through the
+engine's own `draw_probes`, then the DPSK noise as `rng.standard_normal((2,
+n + 1))`: n + 1 real parts, then n + 1 imaginary parts. Everything after the
+draws is written here from the equations:
 
 - received sample p: r_p = sqrt(p_t) L s_p + n_p, with L = H in phase (a) and
   L = H^H d_ms in phase (b), seen as D_rf^H r_p behind a hybrid receiver's
@@ -33,7 +34,6 @@ import math
 import numpy as np
 
 from mmwtrack.channel import NOISE_VARIANCE, sample_channel
-from mmwtrack.evaluation import dpsk_noise
 from mmwtrack.protocol import ProbeBlock, draw_probes
 from mmwtrack.tracking import EIGVAL_FLOOR
 
@@ -125,7 +125,7 @@ def trial_records(cfg, t) -> dict:
         rng = np.random.default_rng(seq)
         drawn = draw_probes([rng], cfg.protocol, n_bs, n_ms, NOISE_VARIANCE)
         block_a, block_b = (ProbeBlock(*(a[0] for a in block)) for block in drawn)
-        noise = dpsk_noise([rng], cfg.n_data_symbols)[0] if m == 1 else None
+        noise = rng.standard_normal((2, cfg.n_data_symbols + 1)) if m == 1 else None
         p_t = 10.0 ** (snr_db / 10.0) * n_ms * NOISE_VARIANCE / h2
         for name in cfg.variants:
             if name == "oracle":

@@ -19,7 +19,7 @@ from mmwtrack import (
     ChannelParams,
 )
 from mmwtrack.channel import ChannelRealization
-from mmwtrack.evaluation import dpsk_noise, scale_dpsk_noise, spectral_efficiency_bound
+from mmwtrack.evaluation import dpsk_noise, spectral_efficiency_bound
 from util import rand_unitary, scalar_dpsk_ser
 
 
@@ -223,7 +223,7 @@ class TestDpskSer:
         with pytest.raises(ValueError):
             dpsk_ser_trial(chan, beams, MetricConfig(), 0.1, np.random.default_rng(0))
         stacked = EstimatedBeamformers(d_ms=np.stack([chan.u[:, :2]] * 3), d_bs=np.stack([chan.v[:, :2]] * 3))
-        noise = dpsk_noise([np.random.default_rng(i) for i in range(3)], MetricConfig().n_data_symbols)
+        noise = dpsk_noise([np.random.default_rng(i) for i in range(3)], MetricConfig().n_data_symbols, 0.1)
         with pytest.raises(ValueError):
             dpsk_ser_trial(chan, stacked, MetricConfig(p_t_bs=(1.0, 2.0, 3.0)), 0.1, noise)
 
@@ -239,12 +239,23 @@ class TestDpskSer:
         with pytest.raises(ValueError, match="dpsk_noise"):
             dpsk_ser_trial(chan, oracle, MetricConfig(p_t_bs=(1.0, 2.0, 3.0)), 0.1, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("noise", [
+        np.zeros((3, 2, 2001)),  # drawn noise not prepared by dpsk_noise: it would unpack into three arrays
+        [np.zeros((3, 2001)), np.zeros((3, 2001)), np.zeros((3, 2000))],
+        (np.zeros((3, 2001)), np.zeros((3, 2001))),
+    ], ids=["raw-array", "list", "pair"])
+    def test_noise_other_than_a_generator_or_the_triple_rejected(self, noise):
+        chan = rank1_channel()
+        beams = EstimatedBeamformers(d_ms=chan.u[:, :1], d_bs=chan.v[:, :1])
+        with pytest.raises(ValueError, match="dpsk_noise"):
+            dpsk_ser_trial(chan, beams, MetricConfig(n_data_symbols=2000, p_t_bs=(1.0, 2.0, 3.0)), 0.1, noise)
+
     def test_zero_combiner_in_a_stack_rejected(self):
         chan = rank1_channel()
         d_ms = np.stack([chan.u[:, :1]] * 3)
         d_ms[1] = 0.0
         beams = EstimatedBeamformers(d_ms=d_ms, d_bs=np.stack([chan.v[:, :1]] * 3))
-        noise = dpsk_noise([np.random.default_rng(i) for i in range(3)], MetricConfig().n_data_symbols)
+        noise = dpsk_noise([np.random.default_rng(i) for i in range(3)], MetricConfig().n_data_symbols, 0.1)
         with pytest.raises(ValueError, match="zero combiner"):
             dpsk_ser_trial(chan, beams, MetricConfig(p_t_bs=(1.0, 2.0, 3.0)), 0.1, noise)
 
@@ -262,7 +273,7 @@ class TestDpskSer:
             (tracked, [EstimatedBeamformers(tracked.d_ms[i], tracked.d_bs[i]) for i in range(3)]),
             (oracle, [oracle] * 3),  # one pair of beams broadcast over the stack
         ):
-            noise = dpsk_noise([np.random.default_rng(100 + i) for i in range(3)], 3000)
+            noise = dpsk_noise([np.random.default_rng(100 + i) for i in range(3)], 3000, 0.3)
             stacked = dpsk_ser_trial(chan, beams, cfg, 0.3, noise)
             singles = [
                 dpsk_ser_trial(chan, b, MetricConfig(n_data_symbols=3000, p_t_bs=p), 0.3,
@@ -282,11 +293,15 @@ class TestDpskSer:
             d_ms=np.stack([rand_unitary(8, 1, rng) for _ in powers]),
             d_bs=np.stack([rand_unitary(16, 1, rng) for _ in powers]),
         )
-        noise = dpsk_noise([np.random.default_rng(200 + i) for i in range(3)], 3000)
-        before = noise.copy()
+        noise = dpsk_noise([np.random.default_rng(200 + i) for i in range(3)], 3000, 0.3)
+        before = [x.copy() for x in noise]
         drawn = dpsk_ser_trial(chan, beams, cfg, 0.3, noise)
         assert drawn.shape == (3,)
-        assert noise.shape == (3, 2, 3001) and np.array_equal(noise, before)
+        assert [x.shape for x in noise] == [(3, 3001), (3, 3001), (3, 3000)]
+        assert all(np.array_equal(x, y) for x, y in zip(noise, before))
+        w = np.stack([np.random.default_rng(200 + i).standard_normal((2, 3001)) for i in range(3)]) * math.sqrt(0.15)
+        assert np.array_equal(noise[0], w[:, 0]) and np.array_equal(noise[1], w[:, 1])
+        assert np.array_equal(noise[2], w[:, 1, 1:] * w[:, 1, :-1])
         with pytest.raises(ValueError, match="expected 2001"):
             dpsk_ser_trial(chan, beams, MetricConfig(n_data_symbols=2000, p_t_bs=powers), 0.3, noise)
 
@@ -324,8 +339,9 @@ class TestDpskSer:
 class TestDpskDecision:
     """The decision of each symbol against |arg z| > pi/K by np.angle, for z = y_n conj(y_{n-1}).
 
-    A unit link (1 x 1 channel and beams, gain 1) at sigma2 = 2 (noise scale 1) and one symbol a
-    stream makes each stream's ser that one decision, of y_0 = sqrt(P) + w_0 and y_1 = sqrt(P) + w_1.
+    A unit link (1 x 1 channel and beams, gain 1) with the noise w as given, in the triple that
+    dpsk_noise returns, and one symbol a stream makes each stream's ser that one decision, of
+    y_0 = sqrt(P) + w_0 and y_1 = sqrt(P) + w_1.
     """
 
     LINK = ChannelRealization(h=np.ones((1, 1), dtype=complex), u=np.ones((1, 1)), sigma=np.ones(1),
@@ -334,7 +350,7 @@ class TestDpskDecision:
 
     def decisions(self, psk_order, powers, w):
         cfg = MetricConfig(psk_order=psk_order, n_data_symbols=1, p_t_bs=tuple(powers))
-        return dpsk_ser_trial(self.LINK, self.BEAMS, cfg, 2.0, w)
+        return dpsk_ser_trial(self.LINK, self.BEAMS, cfg, 2.0, (w[:, 0], w[:, 1], w[:, 1, 1:] * w[:, 1, :-1]))
 
     @staticmethod
     def by_angle(psk_order, powers, w):
@@ -364,17 +380,6 @@ class TestDpskDecision:
         assert np.array_equal(self.decisions(psk_order, powers, w), want)
         assert list(want[:3]) == [psk_order > 2] * 3 and list(want[3:6]) == [1.0] * 3  # Re z = 0, then Re z < 0
         assert list(want[6:9]) == [psk_order > 4] * 3 and want[9] == 0.0  # |Im z| = Re z, then z = 0
-
-    def test_noise_scaled_once_gives_the_same_ser(self):
-        chan = rank1_channel()
-        powers = (0.05, 0.2, 1.0)
-        beams = EstimatedBeamformers(d_ms=chan.u[:, :1], d_bs=chan.v[:, :1])
-        noise = dpsk_noise([np.random.default_rng(300 + i) for i in range(3)], 3000)
-        for psk_order in (2, 4, 16):
-            cfg = MetricConfig(psk_order=psk_order, n_data_symbols=3000, p_t_bs=powers)
-            prepared = scale_dpsk_noise(noise, 0.3)
-            assert dpsk_ser_trial(chan, beams, cfg, 0.3, prepared).tobytes() == \
-                dpsk_ser_trial(chan, beams, cfg, 0.3, noise).tobytes()
 
 
 def test_metric_config_validation():

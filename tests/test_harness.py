@@ -332,6 +332,18 @@ class TestRunExperiment:
         assert len(set(pids)) == 7 and pids[0] == os.getpid()  # one worker per trial, chunk 0 in the caller
         assert run_experiment(load_config(ONE_TRIAL), workers=8) == [os.getpid()]  # one trial forks nothing
 
+    def test_each_worker_runs_a_contiguous_share(self, monkeypatch):
+        # chunks of 2 trials: 0-1, 2-3, 4-5, 6. On 2 workers the caller runs the first two, one child the rest
+        monkeypatch.setattr(harness, "plan_chunks", fixed_chunks(2))
+        monkeypatch.setattr(harness, "_chunk_records", report_pid)
+        pids = run_experiment(load_config(SEVEN_TRIALS), workers=2)  # chunk j's pid, in chunk order
+        caller = os.getpid()
+        assert pids[:2] == [caller, caller] and pids[2] == pids[3] != caller
+        monkeypatch.setattr(harness, "_chunk_records", lambda cfg, trials: [[(os.getpid(), trials.start)]])
+        ran = run_experiment(load_config(SEVEN_TRIALS), workers=2)
+        assert [start for _, start in ran] == [0, 2, 4, 6] and [pid == caller for pid, _ in ran] == [1, 1, 0, 0]
+        assert multiprocessing.active_children() == []
+
     @pytest.mark.parametrize("width", [2, 3])
     def test_the_lowest_numbered_failing_chunk_is_raised(self, monkeypatch, width):
         # chunks of 2 trials: 0-1, 2-3, 4-5, 6. Chunk 1 runs on worker 1 and fails last; the later

@@ -66,12 +66,12 @@ class TestPhaseA:
     def test_noiseless_rank1_exact(self):
         chan = rank1_channel()
         cfg = small_cfg()
-        d_ms = run_phase_a(chan, cfg, None, one_stream(cfg, 0, 0.0)[0])
+        (d_ms,) = run_phase_a(chan, (cfg,), None, one_stream(cfg, 0, 0.0)[0])
         assert normalized_correlation(d_ms[:, 0], chan.u[:, 0]) >= 0.999
 
     def test_zero_channel_fallback_frame(self):
         chan = assemble_channel(ArrayConfig(16), ArrayConfig(8), (), gamma=1.0)
-        d_ms = run_phase_a(chan, small_cfg(m=2), None, one_stream(small_cfg(m=2), 0, 0.0)[0])
+        (d_ms,) = run_phase_a(chan, (small_cfg(m=2),), None, one_stream(small_cfg(m=2), 0, 0.0)[0])
         assert d_ms.shape == (8, 2)
         np.testing.assert_allclose(np.linalg.norm(d_ms, axis=0), 1.0, atol=1e-12)
 
@@ -79,12 +79,12 @@ class TestPhaseA:
         chan = rank1_channel()
         cfg = small_cfg(mode="hy")
         front = make_front_end(ArrayConfig(16), ArrayConfig(8), cfg)
-        d_bb = run_phase_a(chan, cfg, front, one_stream(cfg, 0, 0.0)[0])
+        (d_bb,) = run_phase_a(chan, (cfg,), front, one_stream(cfg, 0, 0.0)[0])
         assert d_bb.shape == (cfg.n_rf_ms, 1)
 
     def test_hybrid_requires_front_end(self):
         with pytest.raises(ValueError):
-            run_phase_a(rank1_channel(), small_cfg(mode="hy"), None, one_stream(small_cfg(), 0, 0.0)[0])
+            run_phase_a(rank1_channel(), (small_cfg(mode="hy"),), None, one_stream(small_cfg(), 0, 0.0)[0])
         with pytest.raises(ValueError, match="HybridFrontEnd"):
             run_protocol(rank1_channel(), small_cfg(mode="hy"), None, 0.0, np.random.default_rng(0))
 
@@ -206,7 +206,7 @@ class TestRunProtocol:
         for seed in range(40):
             chan = rank1_channel(gain=rng.standard_normal() + 1j * rng.standard_normal())
             cfg = small_cfg()
-            d_ms_est = run_phase_a(chan, cfg, None, one_stream(cfg, 100 + seed, sigma2)[0])
+            (d_ms_est,) = run_phase_a(chan, (cfg,), None, one_stream(cfg, 100 + seed, sigma2)[0])
             d_ms_est /= np.linalg.norm(d_ms_est, axis=0)
             block_b = one_stream(cfg, 200 + seed, sigma2)[1]  # both precoders probe with the same draws
             d_bs_t = run_phase_b(chan, d_ms_est, cfg, None, block_b)
@@ -295,8 +295,8 @@ class TestProbingContract:
         front = make_front_end(ArrayConfig(16), ArrayConfig(8), hy)
         block_a = one_stream(fd, self.SEED, self.SIGMA2)[0]
         streams = capture_streams(monkeypatch)
-        run_phase_a(chan, fd, None, block_a, self.RHO)
-        run_phase_a(chan, hy, front, block_a, self.RHO)
+        run_phase_a(chan, (fd,), None, block_a, self.RHO)
+        run_phase_a(chan, (hy,), front, block_a, self.RHO)
         assert streams[1].shape == (30, hy.n_rf_ms)
         np.testing.assert_allclose(streams[1], streams[0] @ front.d_ms_rf.conj(), rtol=1e-12)
 
@@ -357,4 +357,4 @@ class TestStackedStreams:
         chan = rank1_channel()
         block, _ = protocol.draw_probes([np.random.default_rng(0)], small_cfg(p_bs=20), 16, 8, 0.1)
         with pytest.raises(ValueError, match="20 probes, expected 30"):
-            run_phase_a(chan, small_cfg(), None, block)
+            run_phase_a(chan, (small_cfg(),), None, block)

@@ -1,4 +1,4 @@
-"""tools/record_hashes.py: the exit status of a comparison with another checkout."""
+"""tools/record_hashes.py: the exit status and the line counts of a comparison with another checkout."""
 
 import importlib.util
 import sys
@@ -42,3 +42,17 @@ def test_against_exits_1_when_a_run_differs(record_hashes, monkeypatch, tmp_path
     assert record_hashes.main(["--against", str(tmp_path)]) == code
     table = capsys.readouterr().out  # printed in full before the exit status is returned
     assert "| `SMALL` |" in table and "src/mmwtrack/*.py lines: 0 against" in table
+
+
+def test_against_prints_each_modules_lines_in_both_checkouts(record_hashes, tmp_path):
+    package = tmp_path / "src" / "mmwtrack"
+    package.mkdir(parents=True)
+    (package / "harness.py").write_text("a\nb\nc\n")
+    (package / "gone.py").write_text("x\n")
+    ours = record_hashes.src_lines(record_hashes.ROOT)
+    table = record_hashes.line_table(record_hashes.src_lines(tmp_path), ours).splitlines()
+    assert table[:2] == ["| module | against | here |", "| --- | --- | --- |"]
+    assert "| `gone.py` | 1 | - |" in table
+    assert f"| `harness.py` | 3 | {ours['harness.py']} |" in table
+    assert f"| `evaluation.py` | - | {ours['evaluation.py']} |" in table
+    assert table[-1] == f"src/mmwtrack/*.py lines: 4 against, {sum(ours.values())} here"

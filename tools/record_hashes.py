@@ -8,10 +8,11 @@ Outputs go to a temporary directory that is removed afterwards.
 With ``--against DIR``, each run is repeated in a subprocess on the ``src/``
 of the checkout at DIR, and the table adds, per run, that checkout's digests,
 the largest |delta| of each numeric column of records.csv and whether the rows'
-(trial, variant, snr_db, seed) keys match in order; a last line gives both
-checkouts' ``src/mmwtrack/*.py`` line totals, as ``wc -l`` counts them. A
+(trial, variant, snr_db, seed) keys match in order. A second table gives each
+``src/mmwtrack/*.py`` module's lines in both checkouts, as ``wc -l`` counts
+them ("-" where a checkout lacks the module), and a last line both totals. A
 change that keeps bytes shows equal digests, and one that moves numbers at
-rounding level reports them from this table. After printing the table, the
+rounding level reports them from the first table. After printing the tables, the
 tool exits 1 if any run's digests differ, as they do when its keys do not
 match.
 
@@ -75,9 +76,16 @@ def run_against(checkout: Path, config_text: str, workers: int, out: Path) -> No
                    text=True, env=env, check=True, cwd=checkout)
 
 
-def src_lines(checkout: Path) -> int:
-    """The lines of src/mmwtrack/*.py, as wc -l counts them."""
-    return sum(path.read_bytes().count(b"\n") for path in (checkout / "src" / "mmwtrack").glob("*.py"))
+def src_lines(checkout: Path) -> dict:
+    """{module file name: lines} of src/mmwtrack/*.py, as wc -l counts them."""
+    return {path.name: path.read_bytes().count(b"\n") for path in (checkout / "src" / "mmwtrack").glob("*.py")}
+
+
+def line_table(theirs: dict, ours: dict) -> str:
+    """Each module's lines against and here, then the totals line."""
+    rows = ["| module | against | here |", "| --- | --- | --- |"]
+    rows += [f"| `{name}` | {theirs.get(name, '-')} | {ours.get(name, '-')} |" for name in sorted(theirs | ours)]
+    return "\n".join(rows) + f"\n\nsrc/mmwtrack/*.py lines: {sum(theirs.values())} against, {sum(ours.values())} here"
 
 
 def compare(ours: Path, theirs: Path) -> list:
@@ -122,7 +130,7 @@ def main(argv=None) -> int:
                 kept = kept and digests(theirs) == digests(ours)  # rows whose keys differ differ too
             print("| " + " | ".join(cells) + " |")
     if args.against:
-        print(f"\nsrc/mmwtrack/*.py lines: {src_lines(args.against.resolve())} against, {src_lines(ROOT)} here")
+        print("\n" + line_table(src_lines(args.against.resolve()), src_lines(ROOT)))
     return 0 if kept else 1
 
 
