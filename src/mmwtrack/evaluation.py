@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -65,14 +66,14 @@ def spectral_efficiency_bound(sigma, p_t_bs, sigma2_n: float):
     return float(bound) if bound.ndim == 0 else bound
 
 
-def dpsk_noise(rngs, n_data_symbols: int, sigma2_n: float) -> tuple:
-    """Each generator's DPSK noise, n + 1 real parts then n + 1 imaginary parts, prepared once for every variant
-    of a trial at sigma2_n: (a_n, b_n, b_n b_{n-1}), the parts times sqrt(sigma2_n / 2), a row per generator."""
-    w = np.empty((len(rngs), 2, n_data_symbols + 1))
-    for i, gen in enumerate(rngs):
-        gen.standard_normal(out=w[i])
-    w *= math.sqrt(sigma2_n / 2.0)
-    return w[:, 0], w[:, 1], w[:, 1, 1:] * w[:, 1, :-1]
+@functools.cache
+def _gauss_legendre(n: int) -> tuple:
+    """The n-node Gauss-Legendre rule on [-1, 1] by Golub-Welsch: eigh of the Jacobi matrix, off-diagonal
+    k / sqrt(4 k^2 - 1). Made at the first call: at import it ran before BLAS is pinned and raised peak RSS."""
+    k = np.arange(1.0, n)
+    beta = k / np.sqrt(4.0 * k * k - 1.0)
+    nodes, vectors = np.linalg.eigh(np.diag(beta, 1) + np.diag(beta, -1))
+    return nodes, 2.0 * vectors[0] ** 2
 
 
 def dpsk_ser_trial(
@@ -80,20 +81,18 @@ def dpsk_ser_trial(
     beams: EstimatedBeamformers,
     cfg: MetricConfig,
     sigma2_n: float,
-    rng,
+    rng=None,
 ):
-    """Symbol error rate of differential K-PSK through the beamformed link.
+    """Expected symbol error rate of differential K-PSK through the beamformed link, given the beams.
 
-    Multiplexing order 1 only. Per symbol, the combined noise d_ms^H n / ||d_ms|| is one
-    CN(0, sigma2) draw w_n and the gain is g = |d_ms^H H d_bs| / ||d_ms||. Rotating
-    each output by the conjugate of its symbol leaves circular noise as it is, so
-    the detector sees y_n = sqrt(P) g + w_n whatever was sent: only w_n is drawn,
-    real parts then imaginary parts, and symbol n is in error when
-    |arg(y_n conj(y_{n-1}))| > pi/K. rng is one Generator, which draws one
-    stream's noise now and gives a float, or the triple that dpsk_noise drew for
-    S streams at this sigma2_n, which is only read and gives S values: one per
-    stream, each with its own cfg.p_t_bs and optionally its own beams (a leading
-    stream axis).
+    Multiplexing order 1 only. Per symbol, the combined noise d_ms^H n / ||d_ms|| is CN(0, sigma2_n) and
+    the gain is g = |d_ms^H H d_bs| / ||d_ms||, so the detector sees differential K-PSK in white noise at
+    gamma = P g^2 / sigma2_n, and errs with probability (Pawula, Rice and Roberts, IEEE Trans. Commun. 1982)
+        P_s = sin(pi/K) / pi int_0^{pi/2} exp(-gamma (1 - c cos t)) / (1 - c cos t) dt,  c = cos(pi/K).
+    The integrand peaks at t = 0 with width w = min(1 / sqrt(gamma c), sqrt(2 (1 - c) / c)); the integral
+    is 24-node Gauss-Legendre on each of [0, w], [w, 4w], [4w, 16w] and [16w, pi/2], clipped at pi/2.
+    One value per stream of a stack (leading axes of the channel, the beams or cfg.p_t_bs), a float for
+    one stream. Nothing is drawn: rng is accepted and left alone, and cfg.n_data_symbols is not read.
     """
     if beams.d_ms.shape[-1] != 1 or beams.d_bs.shape[-1] != 1:
         raise ValueError("differential SER supports multiplexing order 1 only")
@@ -101,20 +100,16 @@ def dpsk_ser_trial(
     norm = np.linalg.norm(d_ms, axis=-1)
     if np.any(norm == 0.0):
         raise ValueError("differential SER undefined for a zero combiner")
-    gain = np.abs(np.vecdot(d_ms, beams.d_bs[..., 0] @ chan.h.T)) / norm
-
-    single = isinstance(rng, np.random.Generator)
-    if single and (gain.ndim > 0 or np.ndim(cfg.p_t_bs) > 0):
-        raise ValueError("one Generator scores one stream: draw a stack's noise with dpsk_noise")
-    if not (single or isinstance(rng, tuple) and len(rng) == 3):
-        raise ValueError(f"noise is a Generator or the triple dpsk_noise returns, not {type(rng).__name__}")
-    re, im, im_im = dpsk_noise([rng], cfg.n_data_symbols, sigma2_n) if single else rng
-    if re.shape[-1] != cfg.n_data_symbols + 1:
-        raise ValueError(f"noise has {re.shape[-1]} samples, expected {cfg.n_data_symbols + 1}")
-    a = re + (np.sqrt(np.broadcast_to(cfg.p_t_bs, len(re))) * gain)[:, None]  # Re y_n; Im y_n is im
-    re_z = a[:, 1:] * a[:, :-1] + im_im  # z = y_n conj(y_{n-1}) in real arithmetic
-    im_z = np.abs(im[:, 1:] * a[:, :-1] - a[:, 1:] * im[:, :-1])
-    # |arg z| > pi/K as Re z < cot(pi/K) |Im z|: cot(pi/2) is tan(0) = 0 and cot(pi/4) rounds below 1, so a symbol
-    # on the boundary, at Re z = 0 for K = 2 or at |Im z| = Re z for K = 4, is not in error, as np.angle decides
-    ser = np.mean(re_z < math.tan(math.pi / 2 - math.pi / cfg.psk_order) * im_z, axis=-1)
-    return float(ser[0]) if single else ser
+    gain = np.abs(np.vecdot(d_ms, (chan.h @ beams.d_bs)[..., 0])) / norm
+    with np.errstate(divide="ignore"):  # sigma2_n = 0: gamma is inf and no symbol errs
+        gamma = np.asarray(cfg.p_t_bs) * gain**2 / sigma2_n
+    c = math.cos(math.pi / cfg.psk_order)
+    w = 1.0 / np.sqrt(c * np.maximum(gamma, 0.5 / (1.0 - c)))
+    edges = np.minimum(w[..., None] * (0.0, 1.0, 4.0, 16.0, 16.0), math.pi / 2)
+    edges[..., -1] = math.pi / 2
+    half = np.diff(edges)[..., None] / 2.0  # each panel's half width, by the 24 nodes of its panel
+    nodes, weights = _gauss_legendre(24)
+    a = 1.0 - c * np.cos(edges[..., :-1, None] + half * (1.0 + nodes))
+    integral = np.sum(half * weights * np.exp(-gamma[..., None, None] * a) / a, axis=(-2, -1))
+    ser = math.sin(math.pi / cfg.psk_order) / math.pi * integral
+    return float(ser) if ser.ndim == 0 else ser

@@ -7,7 +7,7 @@ produce identical results. Channel realizations are keyed on the trial index
 alone, and probes and noise on (SNR index, trial), so every variant of a trial
 sees the same channel, probes and noise (paired comparison). A chunk of
 consecutive trials runs as stages over (trial, SNR point) arrays: the channel
-draws, the stream draws, the estimates, the scores and DPSK (_chunk_records).
+draws, the stream draws, the estimates and the scores (_chunk_records).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .channel import NOISE_VARIANCE, PATH_GAIN, ArrayConfig, ChannelParams, ChannelRealization, sample_channel
-from .evaluation import MetricConfig, dpsk_noise, dpsk_ser_trial, normalized_correlation
+from .evaluation import MetricConfig, dpsk_ser_trial, normalized_correlation
 from .evaluation import spectral_efficiency, spectral_efficiency_bound
 from .protocol import EstimatedBeamformers, HybridFrontEnd, ProtocolConfig, TrackerSpec
 from .protocol import ProbeBlock, draw_probes, make_front_end, run_protocol
@@ -293,14 +293,14 @@ def _draw_channels(cfg: ExperimentConfig, trials: range) -> tuple:
 
 
 def _draw_streams(cfg: ExperimentConfig, trials: range) -> tuple:
-    """(seeds, rngs, probes): one stream per (trial, SNR point), shared by every variant (common random
-    numbers). Generator rngs[b][si] draws phase (a)'s block, phase (b)'s, then its DPSK noise (_dpsk)."""
+    """(seeds, probes): one stream per (trial, SNR point), shared by every variant (common random numbers).
+    The generator of (trial, SNR point) draws phase (a)'s block, then phase (b)'s."""
     shape = (len(trials), len(cfg.snr_grid_db))
     seqs = [[np.random.SeedSequence(cfg.master_seed, spawn_key=(1, si, t)) for si in range(shape[1])] for t in trials]
-    rngs = [[np.random.default_rng(seq) for seq in row] for row in seqs]
-    blocks = draw_probes([g for row in rngs for g in row], cfg.protocol, cfg.n_bs, cfg.n_ms, NOISE_VARIANCE)
+    blocks = draw_probes([np.random.default_rng(seq) for row in seqs for seq in row], cfg.protocol, cfg.n_bs,
+                         cfg.n_ms, NOISE_VARIANCE)
     probes = tuple(ProbeBlock(*(a.reshape(shape + a.shape[1:]) for a in block)) for block in blocks)
-    return [[int(seq.generate_state(1)[0]) for seq in row] for row in seqs], rngs, probes
+    return [[int(seq.generate_state(1)[0]) for seq in row] for row in seqs], probes
 
 
 def _estimate(cfg: ExperimentConfig, chunk: ChannelRealization, probes: tuple, powers, trials, seeds) -> dict:
@@ -314,8 +314,10 @@ def _estimate(cfg: ExperimentConfig, chunk: ChannelRealization, probes: tuple, p
 
 
 def _score(cfg: ExperimentConfig, chunk: ChannelRealization, beams: dict, powers, trials, seeds) -> dict:
-    """{variant: table} in variants order: eta_u, eta_v, se_bits and ser (None until _dpsk) per stream."""
+    """{variant: table} in variants order: eta_u, eta_v, se_bits and ser per stream, ser None unless m = 1.
+    Each score is one call over the chunk's streams."""
     bounds = spectral_efficiency_bound(chunk.sigma[..., :cfg.protocol.m], powers, NOISE_VARIANCE)
+    mcfg = replace(cfg.metrics, p_t_bs=powers)
     tables = {}
     for name in cfg.variants:
         with _named((name,), trials, cfg.snr_grid_db, seeds):
@@ -325,31 +327,18 @@ def _score(cfg: ExperimentConfig, chunk: ChannelRealization, beams: dict, powers
             eta_u = np.broadcast_to(normalized_correlation(chunk.u[..., 0], d.d_ms[..., 0]), powers.shape)
             eta_v = np.broadcast_to(normalized_correlation(chunk.v[..., 0], d.d_bs[..., 0]), powers.shape)
             _check_metrics(eta_u, eta_v, se, bounds)
-        tables[name] = np.stack([eta_u, eta_v, se, np.full(powers.shape, None)], axis=-1)
+            ser = np.full(powers.shape, None) if cfg.protocol.m > 1 else dpsk_ser_trial(chunk, d, mcfg, NOISE_VARIANCE)
+        tables[name] = np.stack([eta_u, eta_v, se, ser], axis=-1)
     return tables
-
-
-def _dpsk(cfg: ExperimentConfig, chunk, beams: dict, powers, rngs: list, tables: dict, trials, seeds) -> None:
-    """Each table's ser at m = 1, one trial at a time: the noise is each generator's draw after its blocks,
-    scaled once for every variant, and a trial's noise and DPSK arrays (n_snr x n_data_symbols) are all that is held."""
-    for b, t in enumerate(trials if cfg.protocol.m == 1 else ()):
-        chan = ChannelRealization(chunk.h[b, 0], chunk.u[b, 0], chunk.sigma[b, 0], chunk.v[b, 0], chunk.rays[b])
-        mcfg = replace(cfg.metrics, p_t_bs=powers[b])
-        noise = dpsk_noise(rngs[b], cfg.metrics.n_data_symbols, NOISE_VARIANCE)
-        for name, table in tables.items():
-            with _named((name,), (t,), cfg.snr_grid_db, seeds[b:b + 1]):
-                trial_beams = EstimatedBeamformers(beams[name].d_ms[b], beams[name].d_bs[b])
-                table[b, :, 3] = dpsk_ser_trial(chan, trial_beams, mcfg, NOISE_VARIANCE, noise)
 
 
 def _chunk_records(cfg: ExperimentConfig, trials: range) -> list:
     """Each trial's records, in (variant, SNR) order, for a chunk of consecutive trials."""
     chunk, powers = _draw_channels(cfg, trials)
-    seeds, rngs, probes = _draw_streams(cfg, trials)
+    seeds, probes = _draw_streams(cfg, trials)
     beams = _estimate(cfg, chunk, probes, powers, trials, seeds)
-    del probes  # only the estimates read the blocks: the scores and DPSK reuse their memory
+    del probes  # only the estimates read the blocks: the scores reuse their memory
     tables = _score(cfg, chunk, beams, powers, trials, seeds)
-    _dpsk(cfg, chunk, beams, powers, rngs, tables, trials, seeds)
     return [[TrialRecord(t, name, snr_db, *row, seed) for name, table in tables.items()
              for snr_db, row, seed in zip(cfg.snr_grid_db, table[b].tolist(), seeds[b])] for b, t in enumerate(trials)]
 
@@ -462,6 +451,12 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list:
 
 
 _QUANTILES = (0.10, 0.25, 0.75, 0.90)
+
+
+def _standard_error(x):
+    """The standard error of the mean over the last axis: the sample standard deviation (ddof 1) over sqrt(n)."""
+    x = np.asarray(x, dtype=float)
+    return np.std(x, axis=-1, ddof=1) / math.sqrt(x.shape[-1])
 
 
 def _stats_cells(series) -> list:

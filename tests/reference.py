@@ -4,9 +4,8 @@ It recomputes the records of one trial of `run_experiment` one variant, one SNR
 point and one sample at a time, from the same random draws: the channel from
 the `(0, trial)` key, and per (SNR point, trial) the `(1, SNR index, trial)`
 generator, which draws phase (a)'s probe block and phase (b)'s through the
-engine's own `draw_probes`, then the DPSK noise as `rng.standard_normal((2,
-n + 1))`: n + 1 real parts, then n + 1 imaginary parts. Everything after the
-draws is written here from the equations:
+engine's own `draw_probes`. Everything after the draws is written here from
+the equations:
 
 - received sample p: r_p = sqrt(p_t) L s_p + n_p, with L = H in phase (a) and
   L = H^H d_ms in phase (b), seen as D_rf^H r_p behind a hybrid receiver's
@@ -22,15 +21,16 @@ draws is written here from the equations:
   IEEE SPL 2000: the Oja step W + delta p y^H, orthonormalized as
   W' (W'^H W')^(-1/2), the inverse square root taken by `eigh`;
 - scores: eta = |<x, y>| / (||x|| ||y||) against the exact singular vectors,
-  the spectral efficiency as the log-det formula, and the DPSK symbol errors
-  counted one symbol at a time.
+  the spectral efficiency as the log-det formula, and the DPSK SER as the
+  exact error probability of differential K-PSK at the link's SNR (Pawula,
+  Rice and Roberts, IEEE Trans. Commun. 1982), integrated by `mpmath.quad`.
 
 It does not cover a warm start with fewer samples than m.
 """
 
-import cmath
 import math
 
+import mpmath
 import numpy as np
 
 from mmwtrack.channel import NOISE_VARIANCE, sample_channel
@@ -99,16 +99,18 @@ def se_bits(h, d_ms, d_bs, p_t):
     return math.log2(np.linalg.det(np.eye(len(x)) + x).real)
 
 
-def dpsk_ser(h, d_ms, d_bs, p_t, noise, psk_order):
+def dpsk_ser(h, d_ms, d_bs, p_t, psk_order):
+    """sin(pi/K) / pi int_0^{pi/2} exp(-gamma (1 - c cos t)) / (1 - c cos t) dt, c = cos(pi/K), at
+    gamma = p_t g^2 / sigma2 with g = |d_ms^H H d_bs| / ||d_ms||. exp(-gamma (1 - c)) is taken out of the
+    integrand, which then falls from 1 at t = 0 over a width 1 / sqrt(gamma c): mpmath.quad gets a
+    breakpoint at each doubling of that width."""
     gain = abs(np.vdot(d_ms, h @ d_bs)) / np.linalg.norm(d_ms)
-    scale = math.sqrt(NOISE_VARIANCE / 2.0)
-    prev, errors = None, 0
-    for re, im in zip(noise[0], noise[1]):
-        y = math.sqrt(p_t) * gain + scale * complex(re, im)
-        if prev is not None and abs(cmath.phase(y * prev.conjugate())) > math.pi / psk_order:
-            errors += 1
-        prev = y
-    return errors / (len(noise[0]) - 1)
+    gamma = mpmath.mpf(p_t * gain**2 / NOISE_VARIANCE)
+    c = mpmath.cos(mpmath.pi / psk_order)
+    width = 1 / mpmath.sqrt(gamma * c)
+    points = [0] + [width * 2**j for j in range(8) if width * 2**j < mpmath.pi / 2] + [mpmath.pi / 2]
+    integral = mpmath.quad(lambda t: mpmath.exp(-gamma * c * (1 - mpmath.cos(t))) / (1 - c * mpmath.cos(t)), points)
+    return float(mpmath.sin(mpmath.pi / psk_order) / mpmath.pi * mpmath.exp(-gamma * (1 - c)) * integral)
 
 
 def trial_records(cfg, t) -> dict:
@@ -125,7 +127,6 @@ def trial_records(cfg, t) -> dict:
         rng = np.random.default_rng(seq)
         drawn = draw_probes([rng], cfg.protocol, n_bs, n_ms, NOISE_VARIANCE)
         block_a, block_b = (ProbeBlock(*(a[0] for a in block)) for block in drawn)
-        noise = rng.standard_normal((2, cfg.n_data_symbols + 1)) if m == 1 else None
         p_t = 10.0 ** (snr_db / 10.0) * n_ms * NOISE_VARIANCE / h2
         for name in cfg.variants:
             if name == "oracle":
@@ -135,7 +136,7 @@ def trial_records(cfg, t) -> dict:
                 rf_ms, rf_bs = (None, None) if mode == "fd" else (cfg.front_end.d_ms_rf, cfg.front_end.d_bs_rf)
                 d_ms = probe_and_track(h, block_a, p_t, rf_ms, kind, cfg)
                 d_bs = probe_and_track(h.conj().T @ d_ms, block_b, p_t, rf_bs, kind, cfg)
-            ser = None if m != 1 else dpsk_ser(h, d_ms[:, 0], d_bs[:, 0], p_t, noise, cfg.psk_order)
+            ser = None if m != 1 else dpsk_ser(h, d_ms[:, 0], d_bs[:, 0], p_t, cfg.psk_order)
             records[(name, snr_db)] = (eta(u[:, 0], d_ms[:, 0]), eta(vh[0].conj(), d_bs[:, 0]),
                                        se_bits(h, d_ms, d_bs, p_t), ser, int(seq.generate_state(1)[0]))
     return records

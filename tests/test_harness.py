@@ -470,6 +470,8 @@ OTHER_VALUE = {
     "master_seed": 2,
     "variants": ("pastd-fd", "ooja-fd", "oracle"),
 }
+# The one key that moves no record (TestEveryKeyMovesARecord).
+NO_EFFECT = "n_data_symbols"
 KEY_BASE = dict(n_bs=16, n_ms=8, n_rf_bs=8, n_rf_ms=4, n_trials=2, snr_grid_db=(0.0, 10.0), n_data_symbols=200)
 
 
@@ -479,13 +481,21 @@ def record_cells(cfg):
 
 
 class TestEveryKeyMovesARecord:
-    """A key that moves no record is an option with no effect: it should not exist."""
+    """A key that moves no record is an option with no effect: it should not exist. The one exemption is
+    n_data_symbols: the DPSK SER is the exact expectation, so no symbol is drawn, but the key still parses
+    and is checked, because existing configs set it."""
 
     @pytest.fixture(scope="class")
     def base_cells(self):
         return record_cells(ExperimentConfig(**KEY_BASE))
 
-    @pytest.mark.parametrize("key", [f.name for f in fields(ExperimentConfig) if f.init])
+    def test_n_data_symbols_moves_no_record(self, base_cells):
+        assert KEY_BASE[NO_EFFECT] != OTHER_VALUE[NO_EFFECT]
+        assert record_cells(ExperimentConfig(**{**KEY_BASE, NO_EFFECT: OTHER_VALUE[NO_EFFECT]})) == base_cells
+        with pytest.raises(ConfigError, match="n_data_symbols must be positive"):
+            ExperimentConfig(**{**KEY_BASE, NO_EFFECT: 0})
+
+    @pytest.mark.parametrize("key", [f.name for f in fields(ExperimentConfig) if f.init and f.name != NO_EFFECT])
     def test_key_moves_a_record(self, base_cells, key):
         assert KEY_BASE.get(key, getattr(ExperimentConfig, key)) != OTHER_VALUE[key]
         cells = record_cells(ExperimentConfig(**{**KEY_BASE, key: OTHER_VALUE[key]}))

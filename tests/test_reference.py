@@ -47,4 +47,4 @@ def test_records_match_the_reference(monkeypatch, workload, extra):
         if ser is None:
             assert r.ser is None, where
         else:
-            assert abs(r.ser - ser) * cfg.n_data_symbols <= 2 + 1e-9, where
+            assert abs(r.ser - ser) <= 1e-10 * ser, where
